@@ -61,7 +61,7 @@ int main() {
     for (const double risk : {0.0, 0.5, 1.0, 2.0}) {
       eval::ProtocolOptions options;
       options.methods = {eval::Method::Model};
-      options.method.risk_aversion = risk;
+      options.method.policy = core::SelectionPolicy::upper_confidence(risk);
       const auto result = eval::run_loocv_characterized(
           {.machine = machine, .executor = bench::bench_executor()}, suite,
           characterizations, options);

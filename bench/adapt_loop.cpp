@@ -149,7 +149,7 @@ int main() {
                                       shifted[i]));
       controller.wait_for_retrain();
     }
-    const serve::AdaptStats progress = controller.adapt_stats();
+    const adapt::AdaptStats progress = controller.adapt_stats();
     if (progress.promotions > promotions_seen) {
       promotions_seen = progress.promotions;
       last_promotion_round = round;
@@ -163,7 +163,7 @@ int main() {
     }
   }
 
-  const serve::AdaptStats stats = controller.adapt_stats();
+  const adapt::AdaptStats stats = controller.adapt_stats();
   const double recovered_error = mean_error(*registry.current().model,
                                             shifted);
   const bool recovered = stats.promotions > 0 && stats.rollbacks == 0 &&

@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout, "soak timeline (24-tick windows)");
 
-  const serve::FleetStats& fs = report.fleet;
+  const fleet::FleetStats& fs = report.fleet;
   std::cout << "\nHeadline: " << report.offered << " offered, " << fs.routed
             << " routed, " << fs.delivered << " delivered, " << fs.shed
             << " shed, " << report.lost << " lost"

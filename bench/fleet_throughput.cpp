@@ -41,7 +41,7 @@ namespace {
 using namespace acsel;
 
 struct RunStats {
-  serve::FleetStats fleet;
+  fleet::FleetStats fleet;
   double makespan_s = 0.0;
   double aggregate_qps = 0.0;
 };
@@ -222,7 +222,7 @@ int main(int argc, char** argv) {
   const RunStats run = drive(fleet, kFleetRequests, kBatch, pool, chaos_script);
   obs::Tracer::global().disable();
 
-  const serve::FleetStats& fs = run.fleet;
+  const fleet::FleetStats& fs = run.fleet;
   const std::uint64_t lost = fs.routed - fs.delivered - fs.shed;
   const double delivered_fraction =
       fs.routed > 0

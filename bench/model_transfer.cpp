@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
       fleet_ok += response.status == serve::ResponseStatus::Ok ? 1 : 0;
     }
   }
-  const serve::FleetStats fleet_stats = fleet.stats();
+  const fleet::FleetStats fleet_stats = fleet.stats();
   fleet.stop();
   const bool fleet_clean = fleet_ok == fleet_requests &&
                            fleet_stats.model_mismatch == 0 &&

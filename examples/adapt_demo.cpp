@@ -142,14 +142,14 @@ int main(int argc, char** argv) {
   std::cout << "== The workload shifts (" << format_double(kShiftMagnitude, 2)
             << "x work, worse locality); serving still predicts from the "
                "stale profiles\n";
-  serve::AdaptStats last;
+  adapt::AdaptStats last;
   for (int round = 1; round <= 40; ++round) {
     for (std::size_t i = 0; i < shifted.size(); ++i) {
       controller.observe(feedback_for(*registry.current().model, clean[i],
                                       shifted[i]));
       controller.wait_for_retrain();
     }
-    const serve::AdaptStats now = controller.adapt_stats();
+    const adapt::AdaptStats now = controller.adapt_stats();
     if (now.drift_events > last.drift_events) {
       std::cout << "   round " << round << ": drift fired ("
                 << now.drift_events - last.drift_events

@@ -223,13 +223,13 @@ int main(int argc, char** argv) {
   if (adapt_loop) {
     std::cout << "\n>>> adapt: service continues; a workload shift lands at "
                  "step 10\n";
-    serve::AdaptStats before = controller->adapt_stats();
+    adapt::AdaptStats before = controller->adapt_stats();
     std::uint64_t adoptions = 0;
     const auto narrated_step = [&](int step) {
       for (const Call& call : timestep) {
         runtime.invoke(call.key, *call.impl);
       }
-      const serve::AdaptStats now = controller->adapt_stats();
+      const adapt::AdaptStats now = controller->adapt_stats();
       if (now.drift_events > before.drift_events) {
         std::cout << ">>> step " << step
                   << ": drift detected -> background retrain scheduled "
@@ -276,7 +276,7 @@ int main(int argc, char** argv) {
     }
     controller->wait_for_retrain();
     fault::Injector::global().disarm_all();
-    const serve::AdaptStats stats = controller->adapt_stats();
+    const adapt::AdaptStats stats = controller->adapt_stats();
     std::cout << "Adapt: " << stats.observations << " observations, "
               << stats.drift_events << " drift events, " << stats.retrains
               << " retrains, canary " << stats.canary_accepted << " accepted / "

@@ -114,6 +114,7 @@ int main() {
   std::cout << "After rollback: served by model v"
             << server.select(after_rollback).model_version << ".\n\n";
 
-  serve::print_metrics(server.metrics_snapshot(), std::cout);
+  obs::print_registry(server.stats_registry().snapshot(), std::cout,
+                      "server metrics");
   return 0;
 }

@@ -40,11 +40,15 @@ AdaptController::AdaptController(
       retrains_counter_(&metrics_->counter("adapt.retrains")),
       retrain_failures_counter_(&metrics_->counter("adapt.retrain_failures")),
       canary_evals_counter_(&metrics_->counter("adapt.canary.evals")),
+      shadow_evals_counter_(&metrics_->counter("adapt.shadow_evals")),
       canary_accepted_counter_(&metrics_->counter("adapt.canary.accepted")),
       canary_rejected_counter_(&metrics_->counter("adapt.canary.rejected")),
       promotions_counter_(&metrics_->counter("adapt.promotions")),
       rollbacks_counter_(&metrics_->counter("adapt.rollbacks")),
       max_score_gauge_(&metrics_->gauge("adapt.drift.max_score")),
+      canary_active_gauge_(&metrics_->gauge("adapt.canary_active")),
+      retrain_inflight_gauge_(&metrics_->gauge("adapt.retrain_inflight")),
+      reservoir_size_gauge_(&metrics_->gauge("adapt.reservoir_size")),
       retrain_histogram_(&metrics_->histogram("adapt.retrain_ns")),
       reservoir_(options.reservoir) {}
 
@@ -116,6 +120,7 @@ void AdaptController::observe(const Feedback& feedback) {
 
     if (feedback.label.has_value()) {
       reservoir_.offer(*feedback.label);
+      reservoir_size_gauge_->set(static_cast<double>(reservoir_.size()));
     }
 
     if (canary_ != nullptr && feedback.label.has_value()) {
@@ -160,6 +165,7 @@ void AdaptController::begin_canary(core::PredictorPtr candidate) {
                   "cannot canary without an incumbent model");
   canary_ = std::make_unique<CanaryEvaluator>(std::move(candidate),
                                               incumbent.model, options_.canary);
+  canary_active_gauge_->set(1.0);
 }
 
 void AdaptController::wait_for_retrain() {
@@ -202,6 +208,7 @@ bool AdaptController::on_served(const serve::SelectRequest& request,
   const bool exercised = canary_->offer_shadow(request.samples);
   if (exercised) {
     ++shadow_evals_;
+    shadow_evals_counter_->add();
   }
   if (canary_->decided()) {
     finish_canary_locked();
@@ -209,10 +216,9 @@ bool AdaptController::on_served(const serve::SelectRequest& request,
   return exercised;
 }
 
-serve::AdaptStats AdaptController::adapt_stats() const {
+AdaptStats AdaptController::adapt_stats() const {
   std::lock_guard<std::mutex> lock{mu_};
-  serve::AdaptStats stats;
-  stats.attached = true;
+  AdaptStats stats;
   stats.canary_active = canary_ != nullptr;
   stats.retrain_inflight = retrain_inflight_.load(std::memory_order_acquire);
   stats.max_drift_score = max_drift_score_locked();
@@ -245,6 +251,7 @@ void AdaptController::maybe_start_canary_locked() {
   }
   canary_ = std::make_unique<CanaryEvaluator>(
       std::move(pending_candidate_), incumbent.model, options_.canary);
+  canary_active_gauge_->set(1.0);
   pending_candidate_ = nullptr;
 }
 
@@ -268,6 +275,7 @@ void AdaptController::finish_canary_locked() {
                    << " vs " << verdict.incumbent_violation_rate << ")");
   }
   canary_.reset();
+  canary_active_gauge_->set(0.0);
   // Either way the drift evidence is spent: an accepted model owes a
   // fresh judgement; a rejected candidate must not be re-triggered by the
   // same stale statistics in a tight loop.
@@ -298,6 +306,7 @@ AdaptController::maybe_schedule_retrain_locked() {
     return nullptr;  // not enough data to train yet; keep collecting
   }
   retrain_inflight_.store(true, std::memory_order_release);
+  retrain_inflight_gauge_->set(1.0);
   ++retrains_;
   retrains_counter_->add();
   ACSEL_LOG_INFO("adapt: scheduling background retrain over "
@@ -329,6 +338,9 @@ void AdaptController::run_retrain(
       retrain_failures_counter_->add();
     }
   }
+  // Gauge before flag: once wait_for_retrain() returns, a scrape already
+  // reads the retrain as finished.
+  retrain_inflight_gauge_->set(0.0);
   retrain_inflight_.store(false, std::memory_order_release);
 }
 

@@ -12,8 +12,9 @@
 //     back automatically if the canary's promise is broken.
 //
 // The controller is serve::AdaptSink, so a serve::Server forwards wire
-// feedback, offers served requests for shadowing, and reports adapt
-// state in stats scrapes. It is equally usable without a server — the
+// feedback and offers served requests for shadowing; built over the
+// server's stats registry, its adapt.* rows ride the server's stats
+// scrapes. It is equally usable without a server — the
 // online runtime's feedback hook calls observe() directly.
 //
 // Determinism: given the same sequence of observe()/on_served() calls and
@@ -73,7 +74,33 @@ struct AdaptOptions {
   /// Goal canary/probation selections are judged under.
   core::SchedulingGoal goal = core::SchedulingGoal::MaxPerformance;
   /// Metric registry for adapt.* rows; nullptr = obs::Registry::global().
+  /// A controller attached as a server's adapt sink passes
+  /// &server.stats_registry(), so its rows ride the server's stats scrape.
   obs::Registry* metrics = nullptr;
+};
+
+/// In-process snapshot of the loop's state. The same figures are
+/// published as adapt.* rows in the controller's metric registry, which
+/// is how they reach a wire stats scrape.
+struct AdaptStats {
+  bool canary_active = false;
+  bool retrain_inflight = false;
+  /// Highest drift score across cluster detectors (1.0 = firing boundary).
+  double max_drift_score = 0.0;
+  std::uint64_t observations = 0;
+  std::uint64_t rejected_residuals = 0;
+  std::uint64_t drift_events = 0;
+  std::uint64_t retrains = 0;
+  std::uint64_t retrain_failures = 0;
+  std::uint64_t reservoir_size = 0;
+  std::uint64_t canary_evals = 0;
+  std::uint64_t shadow_evals = 0;
+  std::uint64_t canary_accepted = 0;
+  std::uint64_t canary_rejected = 0;
+  std::uint64_t promotions = 0;
+  std::uint64_t rollbacks = 0;
+
+  bool operator==(const AdaptStats&) const = default;
 };
 
 class AdaptController final : public serve::AdaptSink {
@@ -111,12 +138,13 @@ class AdaptController final : public serve::AdaptSink {
   }
   bool canary_active() const;
   std::size_t reservoir_size() const;
+  /// Consistent snapshot of every counter and state flag.
+  AdaptStats adapt_stats() const;
 
   // -- serve::AdaptSink ---------------------------------------------------
   void on_feedback(const serve::FeedbackRequest& feedback) override;
   bool on_served(const serve::SelectRequest& request,
                  const serve::SelectResponse& response) override;
-  serve::AdaptStats adapt_stats() const override;
 
  private:
   /// Power + performance detectors for one kernel cluster.
@@ -151,11 +179,15 @@ class AdaptController final : public serve::AdaptSink {
   obs::Counter* retrains_counter_;
   obs::Counter* retrain_failures_counter_;
   obs::Counter* canary_evals_counter_;
+  obs::Counter* shadow_evals_counter_;
   obs::Counter* canary_accepted_counter_;
   obs::Counter* canary_rejected_counter_;
   obs::Counter* promotions_counter_;
   obs::Counter* rollbacks_counter_;
   obs::Gauge* max_score_gauge_;
+  obs::Gauge* canary_active_gauge_;
+  obs::Gauge* retrain_inflight_gauge_;
+  obs::Gauge* reservoir_size_gauge_;
   obs::Histogram* retrain_histogram_;
 
   mutable std::mutex mu_;

@@ -122,15 +122,6 @@ class OnlineRuntime {
   OnlineRuntime(soc::Machine& machine, PredictorPtr model)
       : OnlineRuntime(machine, std::move(model), Options{}) {}
 
-  /// Concrete-type conveniences, kept for one release.
-  [[deprecated("pass a core::PredictorPtr (see core::make_predictor)")]]
-  OnlineRuntime(soc::Machine& machine, TrainedModel model,
-                const Options& options)
-      : OnlineRuntime(machine, make_predictor(std::move(model)), options) {}
-  [[deprecated("pass a core::PredictorPtr (see core::make_predictor)")]]
-  OnlineRuntime(soc::Machine& machine, TrainedModel model)
-      : OnlineRuntime(machine, make_predictor(std::move(model)), Options{}) {}
-
   /// Runs one invocation of the kernel identified by `key`, whose
   /// implementation/behaviour is `impl`. Handles the sample iterations
   /// and the steady-state configuration transparently.
@@ -152,10 +143,6 @@ class OnlineRuntime {
   /// (at the new model's safe configuration) until their backoff is
   /// served. Returns the number of kernels re-predicted.
   std::size_t adopt_model(PredictorPtr model);
-  [[deprecated("pass a core::PredictorPtr (see core::make_predictor)")]]
-  std::size_t adopt_model(TrainedModel model) {
-    return adopt_model(make_predictor(std::move(model)));
-  }
 
   /// Lifecycle of a tracked kernel.
   enum class Phase { Unseen, SampledCpu, Scheduled };

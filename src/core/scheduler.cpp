@@ -7,7 +7,7 @@ namespace acsel::core {
 double power_risk_z(const SchedulerOptions& options) {
   return options.policy.kind == SelectionPolicy::Kind::UpperConfidence
              ? options.policy.z
-             : options.risk_aversion;
+             : 0.0;
 }
 
 const char* to_string(SelectionPolicy::Kind kind) {

@@ -51,10 +51,6 @@ const char* to_string(SelectionPolicy::Kind kind);
 struct SchedulerOptions {
   /// Uncertainty treatment of the power-cap comparison.
   SelectionPolicy policy;
-  /// Legacy knob predating SelectionPolicy: with `policy` at its
-  /// PointEstimate default, a nonzero value behaves exactly like
-  /// SelectionPolicy::upper_confidence(risk_aversion). Prefer `policy`.
-  double risk_aversion = 0.0;
 };
 
 /// The effective one-sided multiplier on predicted power sigma the

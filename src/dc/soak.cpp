@@ -159,7 +159,7 @@ SoakReport SoakDriver::run() {
   std::int64_t shift_tick = -1;
   std::uint64_t promotions_seen = 0;
   std::uint64_t measurements = 0;
-  serve::FleetStats prev = fleet.stats();
+  fleet::FleetStats prev = fleet.stats();
 
   for (std::uint64_t t = 0; t < opts.ticks; ++t) {
     for (const ScenarioEvent& event : opts.script) {
@@ -246,7 +246,7 @@ SoakReport SoakDriver::run() {
     // Await any retrain the feedback kicked off, then re-publish a
     // promotion fleet-wide — the adaptation lag the report measures.
     controller.wait_for_retrain();
-    const serve::AdaptStats adapt_stats = controller.adapt_stats();
+    const adapt::AdaptStats adapt_stats = controller.adapt_stats();
     if (adapt_stats.promotions > promotions_seen) {
       promotions_seen = adapt_stats.promotions;
       fleet.publish(trainer_registry.current().model);
@@ -260,7 +260,7 @@ SoakReport SoakDriver::run() {
 
     fleet.tick();
 
-    const serve::FleetStats now = fleet.stats();
+    const fleet::FleetStats now = fleet.stats();
     TickSample sample;
     sample.tick = t;
     sample.offered = arrivals.size();

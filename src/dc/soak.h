@@ -123,9 +123,9 @@ struct TickSample {
 
 struct SoakReport {
   std::vector<TickSample> timeline;
-  serve::FleetStats fleet;
+  fleet::FleetStats fleet;
   fleet::Fleet::ClientTotals client;
-  serve::AdaptStats adapt;
+  adapt::AdaptStats adapt;
   std::uint64_t offered = 0;
   /// routed - delivered - shed; the zero-loss contract.
   std::uint64_t lost = 0;

@@ -81,7 +81,7 @@ MethodOutcome run_method(soc::Machine& machine,
     case Method::Model: {
       ACSEL_CHECK_MSG(prediction != nullptr, "Model needs a prediction");
       core::SchedulerOptions scheduler_options;
-      scheduler_options.risk_aversion = options.risk_aversion;
+      scheduler_options.policy = options.policy;
       const core::Scheduler scheduler{*prediction, scheduler_options};
       const auto choice = scheduler.select(cap_w);
       const hw::ConfigSpace space;
@@ -93,7 +93,7 @@ MethodOutcome run_method(soc::Machine& machine,
     case Method::ModelFL: {
       ACSEL_CHECK_MSG(prediction != nullptr, "Model+FL needs a prediction");
       core::SchedulerOptions scheduler_options;
-      scheduler_options.risk_aversion = options.risk_aversion;
+      scheduler_options.policy = options.policy;
       const core::Scheduler scheduler{*prediction, scheduler_options};
       const auto choice = scheduler.select(cap_w);
       const hw::ConfigSpace space;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/model.h"
+#include "core/scheduler.h"
 #include "soc/machine.h"
 #include "workloads/workload.h"
 
@@ -53,9 +54,10 @@ struct MethodOptions {
   /// A run counts as under-limit when measured power <= cap * (1 + tol);
   /// the tolerance absorbs SMU estimation noise at the boundary.
   double cap_tolerance = 0.002;
-  /// Scheduler risk aversion for the model methods (§VI variance-aware
-  /// extension); 0 matches the paper's system.
-  double risk_aversion = 0.0;
+  /// Scheduler selection policy for the model methods; the default point
+  /// estimate matches the paper's system, upper_confidence(z) is the §VI
+  /// variance-aware extension.
+  core::SelectionPolicy policy;
 };
 
 /// Runs `method` on `instance` under `cap_w` and measures the outcome.

@@ -1,6 +1,9 @@
 #include "fault/fault.h"
 
 #include <cstdlib>
+#include <functional>
+#include <map>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "util/error.h"
@@ -24,6 +27,43 @@ std::uint64_t site_stream(std::string_view site) {
 
 Rng site_rng(std::uint64_t seed, const std::string& site) {
   return Rng{Rng::mix_seeds(seed, site_stream(site))};
+}
+
+using PresetSites = std::vector<std::pair<std::string, FaultSpec>>;
+
+/// The sites each named preset arms. Shapes: stuck-at runs long (a
+/// wedged estimator), spikes are short bursts of large error, dropouts
+/// read zero for a few samples, delay lags the telemetry, frame
+/// corruption is per-frame.
+const std::map<std::string, PresetSites, std::less<>>& presets() {
+  static const std::map<std::string, PresetSites, std::less<>> table{
+      {"smu_stuck", {{"smu.stuck", {0.01, 40, 1.0}}}},
+      {"smu_spike", {{"smu.spike", {0.05, 3, 4.0}}}},
+      {"smu_dropout", {{"smu.dropout", {0.02, 5, 1.0}}}},
+      {"smu_noise",
+       {{"smu.spike", {0.05, 3, 4.0}}, {"smu.dropout", {0.02, 5, 1.0}}}},
+      {"smu_delay", {{"smu.delay", {0.05, 8, 6.0}}}},
+      {"frame_corrupt", {{"wire.corrupt", {0.05, 1, 1.0}}}},
+      // Once it starts, the shift persists for the rest of the run (the
+      // burst outlives any bench): kernels do ~60% more work with worse
+      // locality — the mid-run phase change the adapt loop must catch.
+      {"workload_shift", {{"soc.kernel_shift", {0.02, 100000, 1.6}}}},
+      // Each fire permanently kills one fleet replica (drawn per replica
+      // per tick) — low probability, because losses accumulate.
+      {"node_loss", {{"fleet.node_loss", {0.004, 1, 1.0}}}},
+      // Bursts of dropped heartbeats: long enough to push nodes through
+      // Suspect toward Dead, short enough that some recover.
+      {"partition", {{"fleet.partition", {0.02, 5, 1.0}}}},
+      // A replica's call runs `magnitude` times slower for the burst —
+      // the straggler the hedging layer exists to cut off.
+      {"slow_node", {{"fleet.slow_node", {0.05, 4, 8.0}}}},
+      // A facility power emergency: while the burst fires the fleet's
+      // global budget loses `magnitude` of its base (a 40% cut), long
+      // enough (~25 ticks) for the brownout stages to engage and the
+      // staged recovery to be observable afterwards.
+      {"budget_cut", {{"fleet.budget_cut", {0.01, 25, 0.4}}}},
+  };
+  return table;
 }
 
 }  // namespace
@@ -115,7 +155,10 @@ void Injector::rewind() {
 }
 
 std::vector<std::string> Injector::arm_presets(std::string_view list) {
-  std::vector<std::string> armed_names;
+  // Resolve every name before arming anything: a typo in the list must
+  // fail the whole call, not leave a partially armed run behind.
+  std::vector<std::string> names;
+  std::vector<const PresetSites*> resolved;
   std::size_t pos = 0;
   while (pos <= list.size()) {
     const std::size_t comma = list.find(',', pos);
@@ -126,53 +169,20 @@ std::vector<std::string> Injector::arm_presets(std::string_view list) {
     if (name.empty()) {
       continue;
     }
-    // Preset shapes: stuck-at runs long (a wedged estimator), spikes are
-    // short bursts of large error, dropouts read zero for a few samples,
-    // delay lags the telemetry, frame corruption is per-frame.
-    if (name == "smu_stuck") {
-      arm("smu.stuck", {0.01, 40, 1.0});
-    } else if (name == "smu_spike") {
-      arm("smu.spike", {0.05, 3, 4.0});
-    } else if (name == "smu_dropout") {
-      arm("smu.dropout", {0.02, 5, 1.0});
-    } else if (name == "smu_noise") {
-      arm("smu.spike", {0.05, 3, 4.0});
-      arm("smu.dropout", {0.02, 5, 1.0});
-    } else if (name == "smu_delay") {
-      arm("smu.delay", {0.05, 8, 6.0});
-    } else if (name == "frame_corrupt") {
-      arm("wire.corrupt", {0.05, 1, 1.0});
-    } else if (name == "workload_shift") {
-      // Once it starts, the shift persists for the rest of the run (the
-      // burst outlives any bench): kernels do ~60% more work with worse
-      // locality — the mid-run phase change the adapt loop must catch.
-      arm("soc.kernel_shift", {0.02, 100000, 1.6});
-    } else if (name == "node_loss") {
-      // Each fire permanently kills one fleet replica (drawn per replica
-      // per tick) — low probability, because losses accumulate.
-      arm("fleet.node_loss", {0.004, 1, 1.0});
-    } else if (name == "partition") {
-      // Bursts of dropped heartbeats: long enough to push nodes through
-      // Suspect toward Dead, short enough that some recover.
-      arm("fleet.partition", {0.02, 5, 1.0});
-    } else if (name == "slow_node") {
-      // A replica's call runs `magnitude` times slower for the burst —
-      // the straggler the hedging layer exists to cut off.
-      arm("fleet.slow_node", {0.05, 4, 8.0});
-    } else if (name == "budget_cut") {
-      // A facility power emergency: while the burst fires the fleet's
-      // global budget loses `magnitude` of its base (a 40% cut), long
-      // enough (~25 ticks) for the brownout stages to engage and the
-      // staged recovery to be observable afterwards.
-      arm("fleet.budget_cut", {0.01, 25, 0.4});
-    } else {
-      ACSEL_LOG_WARN("fault: unknown preset '" << std::string{name}
-                                               << "' ignored");
-      continue;
+    const auto preset = presets().find(name);
+    if (preset == presets().end()) {
+      throw Error{"fault: unknown preset '" + std::string{name} +
+                  "' in fault list \"" + std::string{list} + "\""};
     }
-    armed_names.emplace_back(name);
+    names.emplace_back(name);
+    resolved.push_back(&preset->second);
   }
-  return armed_names;
+  for (const PresetSites* sites : resolved) {
+    for (const auto& [site, spec] : *sites) {
+      arm(site, spec);
+    }
+  }
+  return names;
 }
 
 std::vector<std::string> Injector::arm_from_env() {

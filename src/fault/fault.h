@@ -97,10 +97,9 @@ class Injector {
   /// "smu_spike", "smu_dropout", "smu_noise" = spike + dropout,
   /// "smu_delay", "frame_corrupt", "workload_shift", and the fleet chaos
   /// presets "node_loss", "partition", "slow_node", "budget_cut").
-  /// Unknown names are
-  /// logged and skipped
-  /// (an env typo must not break the program). Returns the preset names
-  /// actually armed.
+  /// Empty entries are skipped. An unknown name throws acsel::Error
+  /// naming it before anything is armed, so a misspelled chaos run fails
+  /// instead of silently running clean. Returns the preset names armed.
   std::vector<std::string> arm_presets(std::string_view list);
 
   /// arm_presets() over the ACSEL_FAULTS environment variable (no-op

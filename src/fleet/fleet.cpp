@@ -724,9 +724,8 @@ Fleet::ClientTotals Fleet::client_totals() const {
   return totals;
 }
 
-serve::FleetStats Fleet::stats() const {
-  serve::FleetStats stats;
-  stats.attached = true;
+FleetStats Fleet::stats() const {
+  FleetStats stats;
   stats.shards = static_cast<std::uint32_t>(options_.shards);
   stats.replicas =
       static_cast<std::uint32_t>(options_.shards * options_.replicas);
@@ -770,17 +769,25 @@ serve::FleetStats Fleet::stats() const {
   return stats;
 }
 
-serve::SeriesStats Fleet::series_stats() const {
-  serve::SeriesStats out;
+void Fleet::append_slo_state(serve::StatsResponse& response) const {
   if (!options_.slo.enabled) {
-    return out;  // attached = false
+    return;
   }
+  std::vector<obs::MetricSnapshot>& rows = response.metrics;
+  const auto gauge = [&rows](std::string name, double value,
+                             std::uint64_t count = 0) {
+    obs::MetricSnapshot row;
+    row.name = std::move(name);
+    row.kind = obs::MetricKind::Gauge;
+    row.count = count;
+    row.value = value;
+    rows.push_back(std::move(row));
+  };
   std::lock_guard<std::mutex> lock{slo_mu_};
-  out.attached = true;
-  out.ticks = series_.ticks();
-  out.capacity = series_.capacity();
-  // Only the SLO-referenced series go on the wire (the scrape is a frame,
-  // not a dump; the full registry snapshot already rides alongside).
+  gauge("series.ticks", static_cast<double>(series_.ticks()));
+  gauge("series.capacity", static_cast<double>(series_.capacity()));
+  // Only the SLO-referenced series are rolled up (the scrape is a frame,
+  // not a dump; the raw registry rows already ride alongside).
   std::set<std::string> names;
   for (const obs::Slo& slo : slo_engine_.slos()) {
     names.insert(slo.numerator);
@@ -790,28 +797,15 @@ serve::SeriesStats Fleet::series_stats() const {
   }
   const std::uint64_t window = slo_engine_.burn_options().slow_window;
   for (const std::string& name : names) {
-    serve::SeriesRollupStats row;
-    row.name = name;
-    row.latest = series_.latest(name).value_or(0.0);
     const obs::SeriesRollup rollup = series_.rollup(name, window);
-    row.points = rollup.points;
-    row.sum = rollup.sum;
-    row.min = rollup.min;
-    row.max = rollup.max;
-    row.avg = rollup.avg;
-    out.series.push_back(std::move(row));
+    const std::string prefix = "series." + name + ".";
+    gauge(prefix + "latest", series_.latest(name).value_or(0.0),
+          rollup.points);
+    gauge(prefix + "sum", rollup.sum, rollup.points);
+    gauge(prefix + "min", rollup.min, rollup.points);
+    gauge(prefix + "max", rollup.max, rollup.points);
+    gauge(prefix + "avg", rollup.avg, rollup.points);
   }
-  return out;
-}
-
-serve::SloStats Fleet::slo_stats() const {
-  serve::SloStats out;
-  if (!options_.slo.enabled) {
-    return out;  // attached = false
-  }
-  std::lock_guard<std::mutex> lock{slo_mu_};
-  out.attached = true;
-  out.slos = static_cast<std::uint32_t>(slo_engine_.slos().size());
   std::uint32_t active = 0;
   for (const obs::Alert& alert : slo_engine_.alerts()) {
     if (alert.active()) {
@@ -828,10 +822,14 @@ serve::SloStats Fleet::slo_stats() const {
     snap.promotions = alert.promotions;
     snap.rollbacks = alert.rollbacks;
     snap.exemplar_trace_ids = alert.exemplar_trace_ids;
-    out.alerts.push_back(std::move(snap));
+    response.alerts.push_back(std::move(snap));
   }
-  out.active = active;
-  return out;
+  gauge("slo.configured", static_cast<double>(slo_engine_.slos().size()));
+  gauge("slo.active", static_cast<double>(active));
+  std::sort(rows.begin(), rows.end(),
+            [](const obs::MetricSnapshot& a, const obs::MetricSnapshot& b) {
+              return a.name < b.name;
+            });
 }
 
 std::vector<obs::Alert> Fleet::alerts() const {
@@ -859,10 +857,11 @@ std::vector<std::uint8_t> Fleet::serve_frame(
     serve::StatsResponse response;
     response.request_id = decoded.stats_request.request_id;
     response.status = serve::ResponseStatus::Ok;
+    // Refreshed here, not on the select/tick paths: rows whose owners
+    // live outside the registry cost nothing until someone scrapes.
+    metrics_.publish_for_scrape(stats());
     response.metrics = metrics_.registry().snapshot();
-    response.fleet = stats();
-    response.series = series_stats();
-    response.slo = slo_stats();
+    append_slo_state(response);
     serve::encode_stats_response(response, out, echo);
     return out;
   }

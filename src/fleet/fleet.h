@@ -176,8 +176,9 @@ class Fleet {
   serve::SelectResponse select(const serve::SelectRequest& request);
 
   /// Wire entry point: SelectRequest frames are routed through select(),
-  /// StatsRequest frames are answered with the fleet registry plus the
-  /// FleetStats block, anything else is rejected the way
+  /// StatsRequest frames are answered with the fleet registry rows (plus,
+  /// with the SLO engine on, series.* and slo.* rows computed at scrape
+  /// time and the alert rows), anything else is rejected the way
   /// Server::serve_frame rejects it.
   std::vector<std::uint8_t> serve_frame(std::span<const std::uint8_t> frame);
 
@@ -225,14 +226,7 @@ class Fleet {
   /// sample kernel's benchmark/input/kernel names).
   static std::uint64_t route_key(const serve::SelectRequest& request);
 
-  serve::FleetStats stats() const;
-  /// Wire form of the SeriesStore: the rollups of every SLO-referenced
-  /// series over the slow burn window (attached = false when the SLO
-  /// engine is off).
-  serve::SeriesStats series_stats() const;
-  /// Wire form of the SLO engine: configured/active counts plus every
-  /// alert fired so far (attached = false when off).
-  serve::SloStats slo_stats() const;
+  FleetStats stats() const;
   /// Alerts fired so far (empty when the SLO engine is off).
   std::vector<obs::Alert> alerts() const;
   /// Per-SLO live state as of the last tick.
@@ -319,6 +313,14 @@ class Fleet {
   void adopt_on_replica(
       Replica& replica, std::uint64_t version, const core::PredictorPtr& model,
       std::optional<serve::HardwareFingerprint> fingerprint = std::nullopt);
+
+  /// Appends the scrape-time SLO state to a stats response: gauge rows
+  /// series.ticks, series.capacity, series.<name>.{latest,sum,min,max,avg}
+  /// (slow-window rollup of every SLO-referenced series, count = points),
+  /// slo.configured and slo.active, plus the alert rows. No-op when the
+  /// SLO engine is off. Not registry rows: the SeriesStore snapshots the
+  /// registry every tick, and these must not become series themselves.
+  void append_slo_state(serve::StatsResponse& response) const;
 
   /// Ring walk for one request: full owner order, but when the request
   /// carries a fingerprint and the fleet is heterogeneous, shards of the

@@ -68,6 +68,11 @@ FleetMetrics::FleetMetrics(std::size_t shards)
       membership_transitions_(
           &registry_.gauge("fleet.membership_transitions")),
       alive_replicas_(&registry_.gauge("fleet.alive_replicas")),
+      shards_(&registry_.gauge("fleet.shards")),
+      replicas_(&registry_.gauge("fleet.replicas")),
+      global_budget_w_(&registry_.gauge("fleet.global_budget_w")),
+      rebalances_(&registry_.counter("fleet.rebalances")),
+      brownout_events_(&registry_.counter("fleet.brownout_events")),
       window_p99_(&registry_.gauge("fleet.window_p99_us")),
       window_cap_exceedance_(&registry_.gauge("fleet.window_cap_exceedance")),
       latency_(&registry_.histogram("fleet.latency")) {
@@ -80,6 +85,24 @@ FleetMetrics::FleetMetrics(std::size_t shards)
     shard_hedges_.push_back(&registry_.counter(prefix + ".hedges"));
     shard_caps_.push_back(&registry_.gauge(prefix + ".cap_w"));
   }
+}
+
+void FleetMetrics::publish_for_scrape(const FleetStats& stats) {
+  const auto advance = [](obs::Counter& counter, std::uint64_t target) {
+    const std::uint64_t current = counter.value();
+    if (target > current) {
+      counter.add(target - current);
+    }
+  };
+  std::lock_guard<std::mutex> lock{scrape_mu_};
+  shards_->set(static_cast<double>(stats.shards));
+  replicas_->set(static_cast<double>(stats.replicas));
+  alive_replicas_->set(static_cast<double>(stats.replicas_alive));
+  membership_transitions_->set(
+      static_cast<double>(stats.membership_transitions));
+  global_budget_w_->set(stats.global_budget_w);
+  advance(*rebalances_, stats.rebalances);
+  advance(*brownout_events_, stats.brownout_events);
 }
 
 }  // namespace acsel::fleet

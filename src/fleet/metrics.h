@@ -1,7 +1,9 @@
 // Fleet observability, following the ServerMetrics pattern: every counter
 // is a named row in the fleet's own obs::Registry (one registry per
 // Fleet, so a fleet and its replica servers never share rows), updated
-// through cached references on the routing hot path.
+// through cached references on the routing hot path. State other fleet
+// components own (topology, membership, balancer) is copied into rows
+// only when a stats scrape is about to snapshot the registry.
 //
 // LatencyTracker adds the one thing obs::Histogram's snapshot does not
 // expose: an arbitrary quantile. The hedging layer needs p95 — hedge
@@ -14,6 +16,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -44,6 +47,45 @@ class LatencyTracker {
 
  private:
   std::array<std::atomic<std::uint64_t>, obs::Histogram::kBuckets> cells_{};
+};
+
+/// In-process snapshot of fleet state (Fleet::stats()); a wire scrape
+/// carries the same figures as fleet.* registry rows.
+struct FleetStats {
+  std::uint32_t shards = 0;
+  /// Replicas configured / currently not Dead.
+  std::uint32_t replicas = 0;
+  std::uint32_t replicas_alive = 0;
+  std::uint64_t routed = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t shed = 0;
+  std::uint64_t rerouted = 0;
+  std::uint64_t hedges_fired = 0;
+  std::uint64_t vote_disagreements = 0;
+  std::uint64_t median_fallbacks = 0;
+  std::uint64_t membership_transitions = 0;
+  std::uint64_t heartbeats_dropped = 0;
+  std::uint64_t replica_timeouts = 0;
+  std::uint64_t rebalances = 0;
+  /// Facility budget currently being split across shards, W.
+  double global_budget_w = 0.0;
+  /// Per-priority accounting, indexed by serve::Priority (High, Normal,
+  /// Low). routed == delivered + shed holds per class, not just in
+  /// aggregate.
+  std::array<std::uint64_t, serve::kPriorityClasses> routed_by_priority{};
+  std::array<std::uint64_t, serve::kPriorityClasses> delivered_by_priority{};
+  std::array<std::uint64_t, serve::kPriorityClasses> shed_by_priority{};
+  /// Power-emergency brownout: current stage (0 = none, 1 = hedges
+  /// dropped, 2 = + low priority shed, 3 = + caps forced to the floor)
+  /// and how many emergencies have been entered so far.
+  std::uint32_t brownout_stage = 0;
+  std::uint64_t brownout_events = 0;
+  /// Requests served by a shard/model whose fingerprint did not match the
+  /// request's (nearest-fingerprint fallback engaged). 0 in a clean
+  /// heterogeneous run: the router prefers matched shards.
+  std::uint64_t model_mismatch = 0;
+
+  bool operator==(const FleetStats&) const = default;
 };
 
 /// Everything the fleet counts. Shard-indexed rows are named
@@ -120,6 +162,12 @@ class FleetMetrics {
     brownout_stage_->set(static_cast<double>(stage));
   }
 
+  // -- scrape-path updates -----------------------------------------------
+  /// Copies the rows whose source of truth lives elsewhere (topology,
+  /// membership table, balancer) out of `stats`, just before a stats
+  /// scrape snapshots the registry. Counters advance to the owner's count.
+  void publish_for_scrape(const FleetStats& stats);
+
   std::uint64_t routed() const { return routed_->value(); }
   std::uint64_t delivered() const { return delivered_->value(); }
   std::uint64_t delivered_ok() const { return delivered_ok_->value(); }
@@ -188,6 +236,14 @@ class FleetMetrics {
   obs::Gauge* brownout_stage_;
   obs::Gauge* membership_transitions_;
   obs::Gauge* alive_replicas_;
+  obs::Gauge* shards_;
+  obs::Gauge* replicas_;
+  obs::Gauge* global_budget_w_;
+  obs::Counter* rebalances_;
+  obs::Counter* brownout_events_;
+  /// Serializes publish_for_scrape(): concurrent scrapes must not both
+  /// add the same counter delta.
+  std::mutex scrape_mu_;
   obs::Gauge* window_p99_;
   obs::Gauge* window_cap_exceedance_;
   obs::Histogram* latency_;

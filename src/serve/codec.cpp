@@ -277,70 +277,8 @@ void put_stats_response_payload(std::vector<std::uint8_t>& out,
     put_f64(out, metric.p99_us);
     put_f64(out, metric.max_us);
   }
-  // Adaptation block, appended after the metrics array so the metric
-  // rows keep their historical offsets.
-  const AdaptStats& adapt = response.adapt;
-  put_u8(out, adapt.attached ? 1 : 0);
-  put_u8(out, adapt.canary_active ? 1 : 0);
-  put_u8(out, adapt.retrain_inflight ? 1 : 0);
-  put_f64(out, adapt.max_drift_score);
-  for (const std::uint64_t v :
-       {adapt.observations, adapt.rejected_residuals, adapt.drift_events,
-        adapt.retrains, adapt.retrain_failures, adapt.reservoir_size,
-        adapt.canary_evals, adapt.shadow_evals, adapt.canary_accepted,
-        adapt.canary_rejected, adapt.promotions, adapt.rollbacks}) {
-    put_u64(out, v);
-  }
-  // Fleet block, appended after the adapt block — same layering rule: the
-  // earlier offsets never move.
-  const FleetStats& fleet = response.fleet;
-  put_u8(out, fleet.attached ? 1 : 0);
-  put_u32(out, fleet.shards);
-  put_u32(out, fleet.replicas);
-  put_u32(out, fleet.replicas_alive);
-  for (const std::uint64_t v :
-       {fleet.routed, fleet.delivered, fleet.shed, fleet.rerouted,
-        fleet.hedges_fired, fleet.vote_disagreements, fleet.median_fallbacks,
-        fleet.membership_transitions, fleet.heartbeats_dropped,
-        fleet.replica_timeouts, fleet.rebalances}) {
-    put_u64(out, v);
-  }
-  put_f64(out, fleet.global_budget_w);
-  // Per-priority + brownout rows, appended to the fleet block (encoder
-  // and decoder ship together; the earlier offsets never move).
-  for (const auto& counters :
-       {fleet.routed_by_priority, fleet.delivered_by_priority,
-        fleet.shed_by_priority}) {
-    for (const std::uint64_t v : counters) {
-      put_u64(out, v);
-    }
-  }
-  put_u32(out, fleet.brownout_stage);
-  put_u64(out, fleet.brownout_events);
-  put_u64(out, fleet.model_mismatch);
-  // Series block, appended after the fleet block — the same
-  // earlier-offsets-never-move rule.
-  const SeriesStats& series = response.series;
-  put_u8(out, series.attached ? 1 : 0);
-  put_u64(out, series.ticks);
-  put_u64(out, series.capacity);
-  put_u32(out, static_cast<std::uint32_t>(series.series.size()));
-  for (const SeriesRollupStats& rollup : series.series) {
-    put_string(out, rollup.name);
-    put_f64(out, rollup.latest);
-    put_u64(out, rollup.points);
-    put_f64(out, rollup.sum);
-    put_f64(out, rollup.min);
-    put_f64(out, rollup.max);
-    put_f64(out, rollup.avg);
-  }
-  // SLO block, last.
-  const SloStats& slo = response.slo;
-  put_u8(out, slo.attached ? 1 : 0);
-  put_u32(out, slo.slos);
-  put_u32(out, slo.active);
-  put_u32(out, static_cast<std::uint32_t>(slo.alerts.size()));
-  for (const AlertSnapshot& alert : slo.alerts) {
+  put_u32(out, static_cast<std::uint32_t>(response.alerts.size()));
+  for (const AlertSnapshot& alert : response.alerts) {
     put_string(out, alert.slo);
     put_u64(out, alert.fired_tick);
     put_u64(out, alert.cleared_tick);
@@ -388,125 +326,12 @@ StatsResponse read_stats_response_payload(Reader& r) {
     metric.max_us = r.f64();
     response.metrics.push_back(std::move(metric));
   }
-  AdaptStats& adapt = response.adapt;
-  const std::uint8_t attached = r.u8();
-  if (attached > 1) {
-    throw PayloadError{};
-  }
-  adapt.attached = attached == 1;
-  const std::uint8_t canary_active = r.u8();
-  if (canary_active > 1) {
-    throw PayloadError{};
-  }
-  adapt.canary_active = canary_active == 1;
-  const std::uint8_t retrain_inflight = r.u8();
-  if (retrain_inflight > 1) {
-    throw PayloadError{};
-  }
-  adapt.retrain_inflight = retrain_inflight == 1;
-  adapt.max_drift_score = r.f64();
-  if (!std::isfinite(adapt.max_drift_score) || adapt.max_drift_score < 0.0) {
-    throw PayloadError{};
-  }
-  for (std::uint64_t* v :
-       {&adapt.observations, &adapt.rejected_residuals, &adapt.drift_events,
-        &adapt.retrains, &adapt.retrain_failures, &adapt.reservoir_size,
-        &adapt.canary_evals, &adapt.shadow_evals, &adapt.canary_accepted,
-        &adapt.canary_rejected, &adapt.promotions, &adapt.rollbacks}) {
-    *v = r.u64();
-  }
-  FleetStats& fleet = response.fleet;
-  const std::uint8_t fleet_attached = r.u8();
-  if (fleet_attached > 1) {
-    throw PayloadError{};
-  }
-  fleet.attached = fleet_attached == 1;
-  fleet.shards = r.u32();
-  fleet.replicas = r.u32();
-  fleet.replicas_alive = r.u32();
-  // A replica count that cannot belong to the declared topology is a
-  // corrupt frame, not a big fleet.
-  if (fleet.replicas_alive > fleet.replicas) {
-    throw PayloadError{};
-  }
-  for (std::uint64_t* v :
-       {&fleet.routed, &fleet.delivered, &fleet.shed, &fleet.rerouted,
-        &fleet.hedges_fired, &fleet.vote_disagreements,
-        &fleet.median_fallbacks, &fleet.membership_transitions,
-        &fleet.heartbeats_dropped, &fleet.replica_timeouts,
-        &fleet.rebalances}) {
-    *v = r.u64();
-  }
-  fleet.global_budget_w = r.f64();
-  if (!std::isfinite(fleet.global_budget_w) || fleet.global_budget_w < 0.0) {
-    throw PayloadError{};
-  }
-  for (auto* counters :
-       {&fleet.routed_by_priority, &fleet.delivered_by_priority,
-        &fleet.shed_by_priority}) {
-    for (std::uint64_t& v : *counters) {
-      v = r.u64();
-    }
-  }
-  fleet.brownout_stage = r.u32();
-  // Stages beyond the deepest brownout cannot come from a balancer.
-  if (fleet.brownout_stage > 3) {
-    throw PayloadError{};
-  }
-  fleet.brownout_events = r.u64();
-  fleet.model_mismatch = r.u64();
-  SeriesStats& series = response.series;
-  const std::uint8_t series_attached = r.u8();
-  if (series_attached > 1) {
-    throw PayloadError{};
-  }
-  series.attached = series_attached == 1;
-  series.ticks = r.u64();
-  series.capacity = r.u64();
-  const std::uint32_t series_count = r.u32();
-  // A rollup entry is at least 58 bytes on the wire; a count the payload
-  // cannot possibly hold is malformed.
-  if (series_count > kMaxPayloadBytes / 58) {
-    throw PayloadError{};
-  }
-  series.series.reserve(series_count);
-  for (std::uint32_t i = 0; i < series_count; ++i) {
-    SeriesRollupStats rollup;
-    rollup.name = r.string();
-    rollup.latest = r.f64();
-    rollup.points = r.u64();
-    rollup.sum = r.f64();
-    rollup.min = r.f64();
-    rollup.max = r.f64();
-    rollup.avg = r.f64();
-    // Rollups are aggregates of real observations; a non-finite cell is a
-    // corrupt frame, not a metric.
-    for (const double v :
-         {rollup.latest, rollup.sum, rollup.min, rollup.max, rollup.avg}) {
-      if (!std::isfinite(v)) {
-        throw PayloadError{};
-      }
-    }
-    series.series.push_back(std::move(rollup));
-  }
-  SloStats& slo = response.slo;
-  const std::uint8_t slo_attached = r.u8();
-  if (slo_attached > 1) {
-    throw PayloadError{};
-  }
-  slo.attached = slo_attached == 1;
-  slo.slos = r.u32();
-  slo.active = r.u32();
-  // At most one alert can be firing per configured objective.
-  if (slo.active > slo.slos) {
-    throw PayloadError{};
-  }
   const std::uint32_t alert_count = r.u32();
   // An alert entry is at least 70 bytes on the wire.
   if (alert_count > kMaxPayloadBytes / 70) {
     throw PayloadError{};
   }
-  slo.alerts.reserve(alert_count);
+  response.alerts.reserve(alert_count);
   for (std::uint32_t i = 0; i < alert_count; ++i) {
     AlertSnapshot alert;
     alert.slo = r.string();
@@ -539,7 +364,7 @@ StatsResponse read_stats_response_payload(Reader& r) {
     for (std::uint32_t e = 0; e < exemplar_count; ++e) {
       alert.exemplar_trace_ids.push_back(r.u64());
     }
-    slo.alerts.push_back(std::move(alert));
+    response.alerts.push_back(std::move(alert));
   }
   return response;
 }

@@ -26,18 +26,17 @@
 //
 // Version history: v1 had the same 12-byte header with the u16 as an
 // always-zero reserved field and no trace block; v2 repurposed it as
-// flags and appended fields to the SelectRequest (deadline_ns) and
-// StatsResponse (series + slo blocks) payloads; the priority block (bit
-// 1) and the per-priority + brownout rows of the StatsResponse fleet
-// block arrived later within v2 — a request frame with no priority
-// block means Priority::Normal, so pre-priority peers interoperate
-// unchanged. The fingerprint block (bit 2) and the model_mismatch row of
-// the fleet block arrived later still, under the same compatibility
-// rule: a request with no fingerprint block is a fingerprint-less
-// request, byte-identical to pre-zoo builds. The decoder speaks only the current version — v1 frames
-// report UnsupportedVersion, as do frames setting flag bits this build
-// does not know (a frame whose size cannot be determined must not be
-// resynchronized by guesswork).
+// flags and appended deadline_ns to the SelectRequest payload. The
+// priority block (bit 1) and the fingerprint block (bit 2) arrived later
+// within v2 under one compatibility rule: a request with neither block
+// is a Normal-priority, fingerprint-less request, byte-identical to the
+// builds that predate them. The StatsResponse payload is the registry
+// rows followed by the alert rows; its earlier layout (bespoke adapt,
+// fleet, series and slo blocks after the rows) decodes as
+// MalformedPayload. The decoder speaks only the current version — v1
+// frames report UnsupportedVersion, as do frames setting flag bits this
+// build does not know (a frame whose size cannot be determined must not
+// be resynchronized by guesswork).
 //
 // All integers are little-endian; doubles travel as their IEEE-754 bit
 // patterns, so predictions round-trip bit-exactly. Decoding never throws:

@@ -6,7 +6,6 @@
 // produced them so clients can reason about hot-swaps.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -64,9 +63,8 @@ const char* to_string(Priority priority);
 /// serialization of core counts, frequency grids and power-curve
 /// coefficients; the descriptor fields are a coarse embedding used to pick
 /// the *nearest* architecture when no exact hash match is published.
-/// Defined here (not in zoo) for the same layering reason as FleetStats:
-/// the codec and registry must handle it, and serve never depends on the
-/// layers above it. Encoded on the wire as a versioned optional frame
+/// Defined here (not in zoo) because the codec and registry must handle
+/// it, and serve never depends on the layers above it. Encoded on the wire as a versioned optional frame
 /// block (header flags bit 2); absent block = fingerprint-less request,
 /// byte-identical to older builds.
 struct HardwareFingerprint {
@@ -157,101 +155,6 @@ struct FeedbackResponse {
   ResponseStatus status = ResponseStatus::Ok;
 };
 
-/// Adaptation-loop state reported in a StatsResponse. All zeros (with
-/// attached = false) when no adapt sink is wired to the server.
-struct AdaptStats {
-  bool attached = false;
-  bool canary_active = false;
-  bool retrain_inflight = false;
-  /// Highest drift score across cluster detectors (1.0 = firing boundary).
-  double max_drift_score = 0.0;
-  std::uint64_t observations = 0;
-  std::uint64_t rejected_residuals = 0;
-  std::uint64_t drift_events = 0;
-  std::uint64_t retrains = 0;
-  std::uint64_t retrain_failures = 0;
-  std::uint64_t reservoir_size = 0;
-  std::uint64_t canary_evals = 0;
-  std::uint64_t shadow_evals = 0;
-  std::uint64_t canary_accepted = 0;
-  std::uint64_t canary_rejected = 0;
-  std::uint64_t promotions = 0;
-  std::uint64_t rollbacks = 0;
-
-  bool operator==(const AdaptStats&) const = default;
-};
-
-/// Fleet-layer state reported in a StatsResponse. All zeros (with
-/// attached = false) when the scrape was answered by a single server
-/// rather than a fleet router. Defined here (not in fleet) for the same
-/// reason AdaptStats is: the codec must encode it, and serve never
-/// depends on the layers above it.
-struct FleetStats {
-  bool attached = false;
-  std::uint32_t shards = 0;
-  /// Replicas configured / currently not Dead.
-  std::uint32_t replicas = 0;
-  std::uint32_t replicas_alive = 0;
-  std::uint64_t routed = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t rerouted = 0;
-  std::uint64_t hedges_fired = 0;
-  std::uint64_t vote_disagreements = 0;
-  std::uint64_t median_fallbacks = 0;
-  std::uint64_t membership_transitions = 0;
-  std::uint64_t heartbeats_dropped = 0;
-  std::uint64_t replica_timeouts = 0;
-  std::uint64_t rebalances = 0;
-  /// Facility budget currently being split across shards, W.
-  double global_budget_w = 0.0;
-  /// Per-priority accounting, indexed by Priority (High, Normal, Low).
-  /// routed == delivered + shed holds per class, not just in aggregate.
-  std::array<std::uint64_t, kPriorityClasses> routed_by_priority{};
-  std::array<std::uint64_t, kPriorityClasses> delivered_by_priority{};
-  std::array<std::uint64_t, kPriorityClasses> shed_by_priority{};
-  /// Power-emergency brownout: current stage (0 = none, 1 = hedges
-  /// dropped, 2 = + low priority shed, 3 = + caps forced to the floor)
-  /// and how many emergencies have been entered so far.
-  std::uint32_t brownout_stage = 0;
-  std::uint64_t brownout_events = 0;
-  /// Requests served by a shard/model whose fingerprint did not match the
-  /// request's (nearest-fingerprint fallback engaged). 0 in a clean
-  /// heterogeneous run: the router prefers matched shards.
-  std::uint64_t model_mismatch = 0;
-
-  bool operator==(const FleetStats&) const = default;
-};
-
-/// One series' windowed rollup in a StatsResponse series block — the wire
-/// form of obs::SeriesRollup plus identity and latest value.
-struct SeriesRollupStats {
-  std::string name;
-  double latest = 0.0;
-  std::uint64_t points = 0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double avg = 0.0;
-
-  bool operator==(const SeriesRollupStats&) const = default;
-};
-
-/// Time-series-store state reported in a StatsResponse. All zeros (with
-/// attached = false) when the responder runs no SeriesStore. Defined here
-/// for the same layering reason as AdaptStats/FleetStats: the codec must
-/// encode it, and serve never depends on the layers that populate it.
-struct SeriesStats {
-  bool attached = false;
-  std::uint64_t ticks = 0;
-  std::uint64_t capacity = 0;
-  /// Selected series rollups (the responder chooses which; typically the
-  /// SLO-relevant ones), sorted by name.
-  std::vector<SeriesRollupStats> series;
-
-  bool operator==(const SeriesStats&) const = default;
-};
-
 /// One SLO alert record in a StatsResponse — the wire form of obs::Alert.
 struct AlertSnapshot {
   std::string slo;
@@ -268,31 +171,16 @@ struct AlertSnapshot {
   bool operator==(const AlertSnapshot&) const = default;
 };
 
-/// SLO-engine state reported in a StatsResponse. All zeros (with
-/// attached = false) when the responder runs no SloEngine.
-struct SloStats {
-  bool attached = false;
-  std::uint32_t slos = 0;    ///< objectives configured
-  std::uint32_t active = 0;  ///< alerts currently firing
-  /// Every alert fired so far, in fire order.
-  std::vector<AlertSnapshot> alerts;
-
-  bool operator==(const SloStats&) const = default;
-};
-
 struct StatsResponse {
   std::uint64_t request_id = 0;
   ResponseStatus status = ResponseStatus::Ok;
-  /// The registry snapshot, sorted by metric name (obs::Registry order).
+  /// The responder's registry rows, sorted by metric name. Layers above
+  /// serve (adapt, fleet, series, SLO) publish their state here as
+  /// ordinary counter/gauge rows.
   std::vector<obs::MetricSnapshot> metrics;
-  /// Adaptation-loop state (zeros when no sink is attached).
-  AdaptStats adapt;
-  /// Fleet-router state (zeros when the responder is a plain server).
-  FleetStats fleet;
-  /// Time-series rollups (zeros when no SeriesStore is attached).
-  SeriesStats series;
-  /// SLO/alert state (zeros when no SloEngine is attached).
-  SloStats slo;
+  /// Every SLO alert fired so far, in fire order (empty when the
+  /// responder runs no SloEngine).
+  std::vector<AlertSnapshot> alerts;
 };
 
 /// What the server calls into when adaptation is wired up — implemented
@@ -310,9 +198,6 @@ class AdaptSink {
   /// Returns whether the candidate actually exercised this request.
   virtual bool on_served(const SelectRequest& request,
                          const SelectResponse& response) = 0;
-
-  /// Snapshot for the stats scrape path.
-  virtual AdaptStats adapt_stats() const = 0;
 };
 
 }  // namespace acsel::serve

@@ -2,9 +2,6 @@
 
 #include <chrono>
 
-#include "util/strings.h"
-#include "util/table.h"
-
 namespace acsel::serve {
 
 ServerMetrics::ServerMetrics()
@@ -67,71 +64,6 @@ ServerMetrics::Snapshot ServerMetrics::snapshot(
 void ServerMetrics::reset() {
   registry_.reset();
   window_start_ns_.store(steady_now_ns(), std::memory_order_relaxed);
-}
-
-void print_metrics(const ServerMetrics::Snapshot& snapshot,
-                   std::ostream& out) {
-  TextTable table;
-  table.set_header({"Metric", "Value"});
-  table.add_row({"submitted", std::to_string(snapshot.submitted)});
-  table.add_row({"completed", std::to_string(snapshot.completed)});
-  table.add_row({"shed", std::to_string(snapshot.shed)});
-  table.add_row({"shed (high/normal/low)",
-                 std::to_string(snapshot.shed_by_priority[0]) + "/" +
-                     std::to_string(snapshot.shed_by_priority[1]) + "/" +
-                     std::to_string(snapshot.shed_by_priority[2])});
-  table.add_row({"deadline shed", std::to_string(snapshot.deadline_shed)});
-  table.add_row(
-      {"breaker rerouted", std::to_string(snapshot.breaker_rerouted)});
-  table.add_row(
-      {"model mismatch", std::to_string(snapshot.model_mismatch)});
-  table.add_row({"feedback", std::to_string(snapshot.feedback)});
-  table.add_row({"shadowed", std::to_string(snapshot.shadowed)});
-  table.add_row({"errors", std::to_string(snapshot.errors)});
-  table.add_row({"batches", std::to_string(snapshot.batches)});
-  table.add_row({"mean batch", format_double(snapshot.mean_batch, 4)});
-  table.add_row({"qps", format_double(snapshot.qps, 6)});
-  table.add_row({"p50 latency (us)", format_double(snapshot.latency.p50_us, 4)});
-  table.add_row({"p99 latency (us)", format_double(snapshot.latency.p99_us, 4)});
-  table.add_row({"max latency (us)", format_double(snapshot.latency.max_us, 4)});
-  table.add_row({"queue depth", std::to_string(snapshot.queue_depth)});
-  table.print(out, "server metrics");
-}
-
-const std::vector<std::string>& metrics_csv_header() {
-  static const std::vector<std::string> header{
-      "label",   "submitted", "completed", "shed",
-      "shed_high", "shed_normal", "shed_low",
-      "deadline_shed", "breaker_rerouted", "model_mismatch",
-      "feedback", "shadowed",
-      "errors",  "batches",   "mean_batch", "qps",
-      "p50_us",  "p99_us",    "max_us",     "queue_depth",
-      "elapsed_s"};
-  return header;
-}
-
-void write_metrics_row(CsvWriter& writer, const std::string& label,
-                       const ServerMetrics::Snapshot& snapshot) {
-  writer.row({label, std::to_string(snapshot.submitted),
-              std::to_string(snapshot.completed),
-              std::to_string(snapshot.shed),
-              std::to_string(snapshot.shed_by_priority[0]),
-              std::to_string(snapshot.shed_by_priority[1]),
-              std::to_string(snapshot.shed_by_priority[2]),
-              std::to_string(snapshot.deadline_shed),
-              std::to_string(snapshot.breaker_rerouted),
-              std::to_string(snapshot.model_mismatch),
-              std::to_string(snapshot.feedback),
-              std::to_string(snapshot.shadowed),
-              std::to_string(snapshot.errors),
-              std::to_string(snapshot.batches),
-              format_double(snapshot.mean_batch, 6),
-              format_double(snapshot.qps, 6),
-              format_double(snapshot.latency.p50_us, 6),
-              format_double(snapshot.latency.p99_us, 6),
-              format_double(snapshot.latency.max_us, 6),
-              std::to_string(snapshot.queue_depth),
-              format_double(snapshot.elapsed_s, 6)});
 }
 
 }  // namespace acsel::serve

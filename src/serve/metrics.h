@@ -1,7 +1,7 @@
 // Serving observability, backed by the shared obs metric registry: every
 // counter the server keeps is a named obs metric, so the same rows appear
-// in the text table, the CSV artifact, the JSON dump, and the wire
-// protocol's StatsResponse. Hot-path updates go through cached metric
+// in the obs exporters (text table, CSV, JSON) and the wire protocol's
+// StatsResponse. Hot-path updates go through cached metric
 // references (relaxed atomics, no lock, no name lookup); snapshots
 // tolerate being a few events torn, which is the standard trade for zero
 // hot-path locking.
@@ -11,13 +11,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <ostream>
-#include <string>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "serve/message.h"
-#include "util/csv.h"
 
 namespace acsel::serve {
 
@@ -98,6 +94,7 @@ class ServerMetrics {
   /// The registry backing these metrics — what the wire stats scrape and
   /// the obs exporters read.
   const obs::Registry& registry() const { return registry_; }
+  obs::Registry& registry() { return registry_; }
 
  private:
   static std::int64_t steady_now_ns();
@@ -123,14 +120,5 @@ class ServerMetrics {
   // never a torn time_point and never a negative elapsed.
   std::atomic<std::int64_t> window_start_ns_;
 };
-
-/// Renders a snapshot as an aligned text table (util::TextTable style).
-void print_metrics(const ServerMetrics::Snapshot& snapshot,
-                   std::ostream& out);
-
-/// CSV dump: one labeled row per snapshot, matching metrics_csv_header().
-const std::vector<std::string>& metrics_csv_header();
-void write_metrics_row(CsvWriter& writer, const std::string& label,
-                       const ServerMetrics::Snapshot& snapshot);
 
 }  // namespace acsel::serve

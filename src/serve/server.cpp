@@ -1,5 +1,6 @@
 #include "serve/server.h"
 
+#include <exception>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -178,10 +179,6 @@ std::vector<std::uint8_t> Server::serve_frame(
     stats.request_id = decoded.stats_request.request_id;
     stats.status = ResponseStatus::Ok;
     stats.metrics = metrics_.registry().snapshot();
-    if (const AdaptSink* sink = adapt_sink_.load(std::memory_order_acquire)) {
-      stats.adapt = sink->adapt_stats();
-      stats.adapt.attached = true;
-    }
     encode_stats_response(stats, out, echo);
     return out;
   }
@@ -376,7 +373,10 @@ void Server::worker_loop() {
             breaker_.on_success(static_cast<std::uint64_t>(served_ns));
           }
         }
-      } catch (const Error& error) {
+      } catch (const std::exception& error) {
+        // Not only acsel::Error: a predictor throwing std::out_of_range
+        // or std::bad_alloc must still resolve this request, not escape
+        // the worker thread and terminate the process.
         response.status = ResponseStatus::InternalError;
         metrics_.on_error();
         if (feed_breaker) {

@@ -94,8 +94,11 @@ class Server {
 
   /// The metric registry backing this server's counters — what a wire
   /// StatsRequest scrapes. Exposed so in-process callers (tests, the
-  /// stats parity check) can read the same rows.
+  /// stats parity check) can read the same rows; the mutable overload
+  /// lets an attached adapt sink publish its adapt.* rows into the
+  /// scrape (AdaptOptions::metrics).
   const obs::Registry& stats_registry() const { return metrics_.registry(); }
+  obs::Registry& stats_registry() { return metrics_.registry(); }
 
   /// Zeroes metrics between measurement windows (call while quiescent).
   void reset_metrics() { metrics_.reset(); }
@@ -106,10 +109,12 @@ class Server {
   const Breaker& breaker() const { return breaker_; }
 
   /// Attaches (or, with nullptr, detaches) the adaptation sink: feedback
-  /// frames are forwarded to it, served requests are offered for canary
-  /// shadowing, and stats scrapes report its state. The sink must outlive
-  /// the server or be detached before it dies; it is called from worker
-  /// threads and the serve_frame caller concurrently.
+  /// frames are forwarded to it and served requests are offered for
+  /// canary shadowing. The sink reports its state through registry rows,
+  /// so a sink built over stats_registry() shows up in stats scrapes.
+  /// The sink must outlive the server or be detached before it dies; it
+  /// is called from worker threads and the serve_frame caller
+  /// concurrently.
   void set_adapt_sink(AdaptSink* sink) {
     adapt_sink_.store(sink, std::memory_order_release);
   }

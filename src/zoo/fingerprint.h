@@ -20,7 +20,7 @@
 namespace acsel::zoo {
 
 /// The wire/registry type lives in serve (the codec must encode it and
-/// serve never depends on the layers above it, like FleetStats); the zoo
+/// serve never depends on the layers above it); the zoo
 /// name is the one call sites should read.
 using HardwareFingerprint = serve::HardwareFingerprint;
 

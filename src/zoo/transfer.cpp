@@ -182,7 +182,7 @@ TransferResult TransferEval::run(Archetype train_arch, Archetype serve_arch) {
                                       serving.cap_w, options_.goal));
       controller.wait_for_retrain();
     }
-    const serve::AdaptStats progress = controller.adapt_stats();
+    const adapt::AdaptStats progress = controller.adapt_stats();
     if (progress.promotions > promotions_seen) {
       promotions_seen = progress.promotions;
       last_promotion_round = round;

@@ -80,7 +80,7 @@ struct TransferResult {
   double recovered_violation_rate = 0.0;
   /// Feedback rounds until the first promotion; -1 = never promoted.
   int rounds_to_promotion = -1;
-  serve::AdaptStats adapt;
+  adapt::AdaptStats adapt;
 
   /// Combined scores (error + violation_penalty * violation rate) — the
   /// quantity the cliff and recovery claims are made about. A model that

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -55,6 +56,20 @@ std::vector<core::KernelCharacterization> characterize_some(
   }
   fault::Injector::global().disarm_all();
   return result;
+}
+
+/// A wire stats scrape of `server`, its rows indexed by name (at() on an
+/// absent row throws, failing the test).
+std::map<std::string, obs::MetricSnapshot> scrape_rows(serve::Server& server) {
+  std::vector<std::uint8_t> frame;
+  serve::encode_stats_request(serve::StatsRequest{}, frame);
+  const serve::Decoded decoded = serve::decode_frame(server.serve_frame(frame));
+  EXPECT_EQ(decoded.status, serve::DecodeStatus::Ok);
+  std::map<std::string, obs::MetricSnapshot> rows;
+  for (const obs::MetricSnapshot& row : decoded.stats_response.metrics) {
+    rows.emplace(row.name, row);
+  }
+  return rows;
 }
 
 class AdaptCanaryTest : public ::testing::Test {
@@ -152,7 +167,7 @@ TEST_F(AdaptCanaryTest, CanaryRejectsCorruptAcceptsGoodCandidate) {
   controller.begin_canary(std::make_shared<const core::TrainedModel>());
   controller.observe(
       feedback_for(*clean_model_, clean_->front(), shifted_->front()));
-  serve::AdaptStats stats = controller.adapt_stats();
+  adapt::AdaptStats stats = controller.adapt_stats();
   EXPECT_FALSE(stats.canary_active);
   EXPECT_EQ(stats.canary_rejected, 1u);
   EXPECT_EQ(stats.promotions, 0u);
@@ -177,7 +192,7 @@ TEST_F(AdaptCanaryTest, CanaryRejectsCorruptAcceptsGoodCandidate) {
 /// to converge quickly. Returns the final adapt stats plus the promoted
 /// model's serialization — the determinism test compares two runs.
 struct LoopOutcome {
-  serve::AdaptStats stats;
+  adapt::AdaptStats stats;
   std::vector<std::uint64_t> versions;
   std::string final_model;
   double recovered_error = 1.0;
@@ -218,7 +233,7 @@ LoopOutcome run_shift_loop(
           *registry.current().model, truth, truth));
     }
   }
-  const serve::AdaptStats quiet = controller.adapt_stats();
+  const adapt::AdaptStats quiet = controller.adapt_stats();
   EXPECT_EQ(quiet.drift_events, 0u);
   EXPECT_EQ(quiet.retrains, 0u);
 
@@ -293,9 +308,11 @@ TEST_F(AdaptCanaryTest, LoopIsDeterministicUnderAFixedSeed) {
 }
 
 TEST_F(AdaptCanaryTest, ServingIsNotBlockedByABackgroundRetrain) {
-  obs::Registry metrics;
   serve::ModelRegistry registry;
   registry.publish(clean_model_);
+  serve::ServerOptions server_options;
+  server_options.workers = 2;
+  serve::Server server{registry, server_options};
 
   // Enough seed data to make the retrain take real wall-clock time, so
   // the serving-while-retraining window below is reliably observable.
@@ -309,7 +326,9 @@ TEST_F(AdaptCanaryTest, ServingIsNotBlockedByABackgroundRetrain) {
 
   exec::ThreadPool pool{2};
   adapt::AdaptOptions options;
-  options.metrics = &metrics;
+  // The controller's adapt.* rows land in the registry the server's
+  // stats scrape reads.
+  options.metrics = &server.stats_registry();
   // CUSUM: the wire feedback is shifted from the first sample, a
   // sustained bias Page-Hinkley would absorb into its running mean.
   options.drift.method = adapt::DriftDetector::Method::Cusum;
@@ -318,10 +337,6 @@ TEST_F(AdaptCanaryTest, ServingIsNotBlockedByABackgroundRetrain) {
   options.drift.grace_samples = 5;
   options.canary.shadow_fraction = 1.0;
   adapt::AdaptController controller{registry, pool, seeds, options};
-
-  serve::ServerOptions server_options;
-  server_options.workers = 2;
-  serve::Server server{registry, server_options};
   server.set_adapt_sink(&controller);
 
   const auto wire_feedback = [&](const core::KernelCharacterization& truth,
@@ -374,23 +389,21 @@ TEST_F(AdaptCanaryTest, ServingIsNotBlockedByABackgroundRetrain) {
   EXPECT_LT(worst, std::chrono::seconds{5});
 
   controller.wait_for_retrain();
-  const serve::AdaptStats stats = controller.adapt_stats();
+  const adapt::AdaptStats stats = controller.adapt_stats();
   EXPECT_GE(stats.drift_events, 1u);
   EXPECT_EQ(stats.retrains, 1u);
   EXPECT_EQ(stats.retrain_failures, 0u);
   EXPECT_GT(stats.observations, 0u);
   EXPECT_GT(server.metrics_snapshot().feedback, 0u);
 
-  // The wire stats scrape reports the same adapt state.
-  serve::StatsRequest stats_request;
-  stats_request.request_id = 7;
-  std::vector<std::uint8_t> frame;
-  serve::encode_stats_request(stats_request, frame);
-  const serve::Decoded decoded = serve::decode_frame(server.serve_frame(frame));
-  ASSERT_EQ(decoded.status, serve::DecodeStatus::Ok);
-  EXPECT_TRUE(decoded.stats_response.adapt.attached);
-  EXPECT_EQ(decoded.stats_response.adapt.retrains, 1u);
-  EXPECT_GT(decoded.stats_response.adapt.observations, 0u);
+  // The wire stats scrape reports the same adapt state as registry rows.
+  const std::map<std::string, obs::MetricSnapshot> rows = scrape_rows(server);
+  EXPECT_EQ(rows.at("adapt.retrains").count, stats.retrains);
+  EXPECT_EQ(rows.at("adapt.observations").count, stats.observations);
+  EXPECT_EQ(rows.at("adapt.retrain_inflight").value, 0.0);
+  EXPECT_EQ(rows.at("adapt.reservoir_size").value,
+            static_cast<double>(stats.reservoir_size));
+  server.set_adapt_sink(nullptr);
 }
 
 TEST_F(AdaptCanaryTest, FeedbackWithoutASinkIsUnsupported) {
@@ -409,26 +422,23 @@ TEST_F(AdaptCanaryTest, FeedbackWithoutASinkIsUnsupported) {
   ASSERT_EQ(decoded.status, serve::DecodeStatus::Ok);
   EXPECT_EQ(decoded.feedback_response.status,
             serve::ResponseStatus::Unsupported);
-  // The stats scrape reports no adapt state attached.
-  serve::StatsRequest stats_request;
-  std::vector<std::uint8_t> stats_frame;
-  serve::encode_stats_request(stats_request, stats_frame);
-  EXPECT_FALSE(serve::decode_frame(server.serve_frame(stats_frame))
-                   .stats_response.adapt.attached);
+  // The stats scrape carries no adapt.* rows.
+  for (const auto& [name, row] : scrape_rows(server)) {
+    EXPECT_NE(name.rfind("adapt.", 0), 0u) << name;
+  }
 }
 
 TEST_F(AdaptCanaryTest, ServedRequestsFeedTheShadowCanary) {
-  obs::Registry metrics;
   serve::ModelRegistry registry;
   registry.publish(clean_model_);
+  serve::Server server{registry, {}};
 
   adapt::AdaptOptions options;
-  options.metrics = &metrics;
+  options.metrics = &server.stats_registry();
   options.drift.threshold = 1e9;
   options.canary.shadow_fraction = 1.0;
   adapt::AdaptController controller{registry, exec::inline_executor(), *clean_,
                                     options};
-  serve::Server server{registry, {}};
   server.set_adapt_sink(&controller);
 
   controller.begin_canary(shifted_model_);
@@ -437,9 +447,14 @@ TEST_F(AdaptCanaryTest, ServedRequestsFeedTheShadowCanary) {
   request.cap_w = kCapW;
   request.samples = clean_->front().samples;
   ASSERT_EQ(server.select(request).status, serve::ResponseStatus::Ok);
-  const serve::AdaptStats stats = controller.adapt_stats();
+  const adapt::AdaptStats stats = controller.adapt_stats();
   EXPECT_EQ(stats.shadow_evals, 1u);
+  EXPECT_TRUE(stats.canary_active);
   EXPECT_EQ(server.metrics_snapshot().shadowed, 1u);
+  const std::map<std::string, obs::MetricSnapshot> rows = scrape_rows(server);
+  EXPECT_EQ(rows.at("adapt.shadow_evals").count, 1u);
+  EXPECT_EQ(rows.at("adapt.canary_active").value, 1.0);
+  server.set_adapt_sink(nullptr);
 }
 
 TEST_F(AdaptCanaryTest, AdoptModelRepredictsTrackedKernels) {

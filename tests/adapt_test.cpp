@@ -575,8 +575,7 @@ TEST(AdaptControllerTest, ObservationsWithoutAModelAreCountedOnly) {
   feedback.measured_power_w = 20.0;
   feedback.measured_performance = 0.5;
   controller.observe(feedback);
-  const serve::AdaptStats stats = controller.adapt_stats();
-  EXPECT_TRUE(stats.attached);
+  const adapt::AdaptStats stats = controller.adapt_stats();
   EXPECT_EQ(stats.observations, 1u);
   EXPECT_EQ(stats.rejected_residuals, 0u);
   EXPECT_EQ(stats.drift_events, 0u);
@@ -597,7 +596,7 @@ TEST(AdaptControllerTest, NonFiniteFeedbackIsRejected) {
   feedback.predicted_power_w = 10.0;
   feedback.measured_performance = std::numeric_limits<double>::infinity();
   controller.observe(feedback);
-  const serve::AdaptStats stats = controller.adapt_stats();
+  const adapt::AdaptStats stats = controller.adapt_stats();
   EXPECT_EQ(stats.observations, 2u);
   EXPECT_EQ(stats.rejected_residuals, 2u);
   EXPECT_EQ(metrics.counter("adapt.rejected_residuals").value(), 2u);

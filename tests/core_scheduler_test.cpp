@@ -73,7 +73,7 @@ TEST(Scheduler, DominatedConfigNeverSelected) {
 TEST(Scheduler, RiskAversionBacksOffNearTheCap) {
   const Prediction prediction = make_prediction(2.0);  // sigma = 2 W
   SchedulerOptions options;
-  options.risk_aversion = 1.0;
+  options.policy = SelectionPolicy::upper_confidence(1.0);
   const Scheduler scheduler{prediction, options};
   // 16 W cap: config 1 predicts 15 W +/- 2 W; risk-adjusted 17 W > 16 W,
   // so back off to config 0.
@@ -97,7 +97,7 @@ TEST(Scheduler, RejectsEmptyPredictionAndBadInputs) {
   EXPECT_THROW(Scheduler{empty}, Error);
   const Prediction prediction = make_prediction();
   SchedulerOptions bad;
-  bad.risk_aversion = -1.0;
+  bad.policy = SelectionPolicy::upper_confidence(-1.0);
   EXPECT_THROW((Scheduler{prediction, bad}), Error);
   const Scheduler scheduler{prediction};
   EXPECT_THROW(scheduler.select(0.0), Error);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "util/error.h"
@@ -192,11 +193,36 @@ TEST(FaultInjector, PresetsArmTheDocumentedSites) {
   EXPECT_FALSE(injector.armed("smu.stuck"));
 }
 
-TEST(FaultInjector, UnknownPresetsAreSkippedNotFatal) {
+TEST(FaultInjector, UnknownPresetThrowsAndArmsNothing) {
   Injector injector{1};
-  const auto armed = injector.arm_presets("bogus,smu_stuck,,also_bogus");
-  EXPECT_EQ(armed, (std::vector<std::string>{"smu_stuck"}));
-  EXPECT_TRUE(injector.armed("smu.stuck"));
+  try {
+    injector.arm_presets("smu_stuck,,smu_stcuk");
+    FAIL() << "a misspelled preset must throw";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string{error.what()}.find("'smu_stcuk'"),
+              std::string::npos)
+        << error.what();
+  }
+  // The valid name before the typo was not armed either.
+  EXPECT_FALSE(injector.armed("smu.stuck"));
+  EXPECT_FALSE(injector.any_armed());
+  // Empty entries alone are still skipped.
+  EXPECT_TRUE(injector.arm_presets(",,").empty());
+}
+
+TEST(FaultInjector, EveryNamedPresetArms) {
+  // Includes every preset the CI chaos steps set in ACSEL_FAULTS.
+  Injector injector{1};
+  const auto armed = injector.arm_presets(
+      "smu_noise,frame_corrupt,workload_shift,node_loss,budget_cut,"
+      "partition,slow_node,smu_stuck,smu_spike,smu_dropout,smu_delay");
+  EXPECT_EQ(armed.size(), 11u);
+  for (const char* site :
+       {"smu.spike", "smu.dropout", "smu.stuck", "smu.delay", "wire.corrupt",
+        "soc.kernel_shift", "fleet.node_loss", "fleet.budget_cut",
+        "fleet.partition", "fleet.slow_node"}) {
+    EXPECT_TRUE(injector.armed(site)) << site;
+  }
 }
 
 TEST(FaultInjector, ArmsFromEnvironment) {

@@ -5,12 +5,12 @@
 // contract (routed == delivered + shed, always).
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <memory>
-#include <vector>
-
 #include <algorithm>
+#include <cstdint>
+#include <map>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/trainer.h"
 #include "eval/characterize.h"
@@ -76,8 +76,30 @@ class FleetTest : public ::testing::Test {
     return options;
   }
 
-  static void expect_nothing_lost(const serve::FleetStats& stats) {
+  static void expect_nothing_lost(const FleetStats& stats) {
     EXPECT_EQ(stats.routed, stats.delivered + stats.shed);
+  }
+
+  /// Scrapes the fleet over the wire, exactly as a remote monitor would.
+  static serve::StatsResponse scrape(Fleet& fleet) {
+    serve::StatsRequest request;
+    request.request_id = 77;
+    std::vector<std::uint8_t> frame;
+    serve::encode_stats_request(request, frame);
+    const serve::Decoded decoded = serve::decode_frame(fleet.serve_frame(frame));
+    EXPECT_EQ(decoded.status, serve::DecodeStatus::Ok);
+    EXPECT_EQ(decoded.type, serve::MessageType::StatsResponse);
+    return decoded.stats_response;
+  }
+
+  /// Scrape rows by name; at() on an absent row throws, failing the test.
+  static std::map<std::string, obs::MetricSnapshot> rows_by_name(
+      const serve::StatsResponse& response) {
+    std::map<std::string, obs::MetricSnapshot> rows;
+    for (const obs::MetricSnapshot& row : response.metrics) {
+      rows.emplace(row.name, row);
+    }
+    return rows;
   }
 
   static std::vector<core::KernelCharacterization>* characterizations_;
@@ -306,24 +328,20 @@ TEST_F(FleetTest, StatsScrapeCarriesFleetBlockOverTheWire) {
   for (std::uint64_t i = 0; i < 10; ++i) {
     (void)fleet.select(make_request(i));
   }
-  serve::StatsRequest scrape;
-  scrape.request_id = 77;
-  std::vector<std::uint8_t> frame;
-  serve::encode_stats_request(scrape, frame);
-  const auto reply = fleet.serve_frame(frame);
-  const auto decoded = serve::decode_frame(reply);
-  ASSERT_EQ(decoded.status, serve::DecodeStatus::Ok);
-  ASSERT_EQ(decoded.type, serve::MessageType::StatsResponse);
-  const serve::FleetStats& wire = decoded.stats_response.fleet;
-  EXPECT_TRUE(wire.attached);
-  EXPECT_EQ(wire.shards, 4u);
-  EXPECT_EQ(wire.replicas, 12u);
-  EXPECT_EQ(wire.replicas_alive, 12u);
-  EXPECT_EQ(wire.routed, 10u);
-  EXPECT_EQ(wire.delivered, 10u);
-  EXPECT_EQ(wire.global_budget_w, fleet.stats().global_budget_w);
-  // The fleet's own registry rows travel alongside.
-  EXPECT_FALSE(decoded.stats_response.metrics.empty());
+  const serve::StatsResponse response = scrape(fleet);
+  const auto rows = rows_by_name(response);
+  EXPECT_EQ(rows.at("fleet.shards").value, 4.0);
+  EXPECT_EQ(rows.at("fleet.replicas").value, 12.0);
+  EXPECT_EQ(rows.at("fleet.alive_replicas").value, 12.0);
+  EXPECT_EQ(rows.at("fleet.routed").count, 10u);
+  EXPECT_EQ(rows.at("fleet.delivered").count, 10u);
+  EXPECT_EQ(rows.at("fleet.global_budget_w").value,
+            fleet.stats().global_budget_w);
+  EXPECT_EQ(rows.at("fleet.rebalances").count, fleet.stats().rebalances);
+  EXPECT_EQ(rows.at("fleet.brownout_events").count, 0u);
+  // No SLO engine: no scrape-time series/slo rows and no alerts.
+  EXPECT_EQ(rows.count("slo.configured"), 0u);
+  EXPECT_TRUE(response.alerts.empty());
 }
 
 TEST_F(FleetTest, ServeFrameRoutesSelectAndRejectsLikeAServer) {
@@ -506,6 +524,12 @@ TEST_F(FleetTest, DeliveredSloFiresUnderNodeLossAndClearsAfterRevive) {
   EXPECT_TRUE(fired.active());
   EXPECT_GE(fired.fast_burn, 1.0);
   EXPECT_LT(fired.worst_value, options.slo.delivered_objective);
+  // The wire scrape carries the firing alert as an alert row.
+  const serve::StatsResponse scraped = scrape(fleet);
+  ASSERT_EQ(scraped.alerts.size(), 1u);
+  EXPECT_EQ(scraped.alerts[0].slo, fired.slo);
+  EXPECT_EQ(scraped.alerts[0].exemplar_trace_ids, fired.exemplar_trace_ids);
+  EXPECT_EQ(rows_by_name(scraped).at("slo.active").value, 1.0);
 
   // The alert carries exemplar trace ids that resolve in the merged
   // trace: an operator can jump from the alert to a traced request that
@@ -544,40 +568,31 @@ TEST_F(FleetTest, StatsScrapeCarriesSeriesAndSloBlocksOverTheWire) {
     }
     fleet.tick();
   }
-  serve::StatsRequest scrape;
-  scrape.request_id = 99;
-  std::vector<std::uint8_t> frame;
-  serve::encode_stats_request(scrape, frame);
-  const auto reply = fleet.serve_frame(frame);
-  const auto decoded = serve::decode_frame(reply);
-  ASSERT_EQ(decoded.status, serve::DecodeStatus::Ok);
-
-  const serve::SeriesStats& series = decoded.stats_response.series;
-  EXPECT_TRUE(series.attached);
-  EXPECT_EQ(series.ticks, 3u);
-  std::vector<std::string> names;
-  for (const auto& rollup : series.series) {
-    names.push_back(rollup.name);
-  }
+  const serve::StatsResponse response = scrape(fleet);
+  // The scrape-time rows are merged into the registry rows by name.
+  EXPECT_TRUE(std::is_sorted(
+      response.metrics.begin(), response.metrics.end(),
+      [](const auto& a, const auto& b) { return a.name < b.name; }));
+  const auto rows = rows_by_name(response);
+  EXPECT_EQ(rows.at("series.ticks").value, 3.0);
+  EXPECT_GT(rows.at("series.capacity").value, 0.0);
   // Every SLO-referenced series travels with its slow-window rollup.
-  for (const char* expected :
+  for (const std::string name :
        {"fleet.delivered_ok", "fleet.routed", "fleet.window_p99_us",
         "fleet.window_cap_exceedance"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected;
+    for (const char* field : {"latest", "sum", "min", "max", "avg"}) {
+      EXPECT_EQ(rows.count("series." + name + "." + field), 1u)
+          << name << "." << field;
+    }
   }
-  const auto routed = std::find_if(
-      series.series.begin(), series.series.end(),
-      [](const auto& rollup) { return rollup.name == "fleet.routed"; });
-  ASSERT_NE(routed, series.series.end());
-  EXPECT_EQ(routed->latest, 15.0);
-  EXPECT_EQ(routed->points, 3u);
+  const obs::MetricSnapshot& routed = rows.at("series.fleet.routed.latest");
+  EXPECT_EQ(routed.kind, obs::MetricKind::Gauge);
+  EXPECT_EQ(routed.value, 15.0);
+  EXPECT_EQ(routed.count, 3u);
 
-  const serve::SloStats& slo = decoded.stats_response.slo;
-  EXPECT_TRUE(slo.attached);
-  EXPECT_EQ(slo.slos, 3u);
-  EXPECT_EQ(slo.active, 0u);  // healthy fleet: nothing firing
-  EXPECT_TRUE(slo.alerts.empty());
+  EXPECT_EQ(rows.at("slo.configured").value, 3.0);
+  EXPECT_EQ(rows.at("slo.active").value, 0.0);  // healthy: nothing firing
+  EXPECT_TRUE(response.alerts.empty());
 }
 
 // ---- executor fan-out --------------------------------------------------
@@ -647,7 +662,7 @@ TEST_F(FleetTest, PowerEmergencyShedsLowPriorityAndRecoversStaged) {
   serve::SelectRequest high = make_request(2);
   high.priority = serve::Priority::High;
   EXPECT_EQ(fleet.select(high).status, serve::ResponseStatus::Ok);
-  serve::FleetStats stats = fleet.stats();
+  FleetStats stats = fleet.stats();
   EXPECT_EQ(stats.shed_by_priority[2], 1u);
   EXPECT_EQ(stats.delivered_by_priority[0], 1u);
   EXPECT_EQ(stats.brownout_stage, 3u);

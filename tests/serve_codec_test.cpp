@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <ostream>
 #include <span>
 #include <string>
 #include <vector>
@@ -165,6 +166,13 @@ struct HeaderCase {
   std::uint8_t value;
   DecodeStatus expected;
 };
+
+// gtest would print an unprintable parameter as its raw bytes, address of
+// the name literal included, so the listed test names would shift with the
+// binary's layout. Print the mutation itself instead.
+void PrintTo(const HeaderCase& test, std::ostream* os) {
+  *os << "byte " << test.offset << " := " << static_cast<int>(test.value);
+}
 
 class ServeCodecHeader : public ::testing::TestWithParam<HeaderCase> {};
 
@@ -340,7 +348,7 @@ TEST(ServeCodec, RejectsTrailingGarbageInStatsRequest) {
 // case pokes one byte of an encoded single-metric StatsResponse. Payload
 // layout: request_id u64 @12, status u8 @20, count u32 @21, then the
 // metric (name len u16 @25, name "m" @27, kind u8 @28, count u64 @29,
-// four f64s @37).
+// four f64s @37), then the alert count u32 @69.
 struct StatsCase {
   const char* name;
   std::size_t offset;
@@ -373,171 +381,28 @@ INSTANTIATE_TEST_SUITE_P(
         StatsCase{"absurd_metric_count", 24, 0xff},
         // name length beyond the remaining payload.
         StatsCase{"name_overruns_payload", 26, 0xff},
-        // Adaptation block: appended after the single 44-byte metric, so
-        // it starts at payload offset 57 (absolute 69). Three boolean
-        // bytes, then max_drift_score.
-        StatsCase{"adapt_attached_not_boolean", 69, 2},
-        StatsCase{"adapt_canary_active_not_boolean", 70, 2},
-        StatsCase{"adapt_retrain_inflight_not_boolean", 71, 2},
-        // Smashing the f64's top byte turns the (zero) drift score into
-        // a large negative value; scores must be >= 0.
-        StatsCase{"adapt_negative_drift_score", 79, 0xff}),
+        StatsCase{"alert_count_exceeds_alerts_present", 69, 1},
+        // The count's high byte declares ~16M alerts.
+        StatsCase{"absurd_alert_count", 72, 0xff}),
     [](const ::testing::TestParamInfo<StatsCase>& param_info) {
       return std::string{param_info.param.name};
     });
 
-TEST(ServeCodec, StatsResponseCarriesTheAdaptBlockExactly) {
-  StatsResponse response = make_stats_response();
-  response.adapt.attached = true;
-  response.adapt.canary_active = true;
-  response.adapt.retrain_inflight = true;
-  response.adapt.max_drift_score = 1.375;
-  response.adapt.observations = 1000;
-  response.adapt.rejected_residuals = 3;
-  response.adapt.drift_events = 2;
-  response.adapt.retrains = 2;
-  response.adapt.retrain_failures = 1;
-  response.adapt.reservoir_size = 96;
-  response.adapt.canary_evals = 24;
-  response.adapt.shadow_evals = 7;
-  response.adapt.canary_accepted = 1;
-  response.adapt.canary_rejected = 1;
-  response.adapt.promotions = 1;
-  response.adapt.rollbacks = 0;
-  std::vector<std::uint8_t> bytes;
-  encode_stats_response(response, bytes);
-  const Decoded decoded = decode_frame(bytes);
-  ASSERT_EQ(decoded.status, DecodeStatus::Ok);
-  EXPECT_EQ(decoded.stats_response.adapt, response.adapt);
-  EXPECT_EQ(decoded.stats_response.metrics, response.metrics);
-}
-
-TEST(ServeCodec, NaNDriftScoreIsRejected) {
-  StatsResponse response;
-  response.request_id = 5;
-  response.adapt.max_drift_score = std::numeric_limits<double>::quiet_NaN();
-  std::vector<std::uint8_t> bytes;
-  encode_stats_response(response, bytes);
-  EXPECT_EQ(decode_frame(bytes).status, DecodeStatus::MalformedPayload);
-}
-
-TEST(ServeCodec, StatsResponseCarriesTheFleetBlockExactly) {
-  StatsResponse response = make_stats_response();
-  response.fleet.attached = true;
-  response.fleet.shards = 16;
-  response.fleet.replicas = 48;
-  response.fleet.replicas_alive = 45;
-  response.fleet.routed = 100000;
-  response.fleet.delivered = 99850;
-  response.fleet.shed = 150;
-  response.fleet.rerouted = 820;
-  response.fleet.hedges_fired = 512;
-  response.fleet.vote_disagreements = 9;
-  response.fleet.median_fallbacks = 3;
-  response.fleet.membership_transitions = 6;
-  response.fleet.heartbeats_dropped = 40;
-  response.fleet.replica_timeouts = 11;
-  response.fleet.rebalances = 25;
-  response.fleet.global_budget_w = 480.5;
-  response.fleet.model_mismatch = 77;
-  std::vector<std::uint8_t> bytes;
-  encode_stats_response(response, bytes);
-  const Decoded decoded = decode_frame(bytes);
-  ASSERT_EQ(decoded.status, DecodeStatus::Ok);
-  EXPECT_EQ(decoded.stats_response.fleet, response.fleet);
-  EXPECT_EQ(decoded.stats_response.metrics, response.metrics);
-}
-
-TEST(ServeCodec, DetachedFleetBlockRoundTripsAsZeros) {
-  StatsResponse response;
-  response.request_id = 3;
-  std::vector<std::uint8_t> bytes;
-  encode_stats_response(response, bytes);
-  const Decoded decoded = decode_frame(bytes);
-  ASSERT_EQ(decoded.status, DecodeStatus::Ok);
-  EXPECT_FALSE(decoded.stats_response.fleet.attached);
-  EXPECT_EQ(decoded.stats_response.fleet, FleetStats{});
-}
-
-// Fleet-block rejection rows. Layout of the single-metric response used
-// by the ServeCodecStats table: the adapt block spans absolute offsets
-// [69, 176), so the fleet block starts at 176 — attached u8 @176, three
-// u32s @177/@181/@185, eleven u64s @189, global_budget_w f64 @277.
-TEST(ServeCodec, FleetAttachedMustBeBoolean) {
+TEST(ServeCodec, LegacyStatsLayoutIsMalformed) {
+  // The layout before alert rows: metric rows, then fixed adapt (107
+  // bytes), fleet (201), series (21) and slo (13) blocks, all zero when
+  // detached. The decoder reads the adapt block's first bytes as an alert
+  // count of 0 and rejects the rest as trailing bytes.
   StatsResponse response;
   response.request_id = 7;
   response.metrics = {make_metric("m", obs::MetricKind::Counter)};
   std::vector<std::uint8_t> bytes;
   encode_stats_response(response, bytes);
-  bytes[176] = 2;
-  const Decoded decoded = decode_frame(bytes);
-  EXPECT_EQ(decoded.status, DecodeStatus::MalformedPayload);
-  EXPECT_EQ(decoded.bytes_consumed, bytes.size());
-}
-
-TEST(ServeCodec, FleetAliveExceedingReplicasIsRejected) {
-  StatsResponse response;
-  response.request_id = 7;
-  response.metrics = {make_metric("m", obs::MetricKind::Counter)};
-  std::vector<std::uint8_t> bytes;
-  encode_stats_response(response, bytes);
-  // replicas stays 0; replicas_alive becomes 1 — a topology no fleet can
-  // report, so it is a corrupt frame.
-  bytes[185] = 1;
-  EXPECT_EQ(decode_frame(bytes).status, DecodeStatus::MalformedPayload);
-}
-
-TEST(ServeCodec, NegativeGlobalBudgetIsRejected) {
-  StatsResponse response;
-  response.request_id = 7;
-  response.metrics = {make_metric("m", obs::MetricKind::Counter)};
-  std::vector<std::uint8_t> bytes;
-  encode_stats_response(response, bytes);
-  // Smash the f64's sign/exponent byte: the (zero) budget goes negative.
-  bytes[284] = 0xff;
-  EXPECT_EQ(decode_frame(bytes).status, DecodeStatus::MalformedPayload);
-}
-
-TEST(ServeCodec, NaNGlobalBudgetIsRejected) {
-  StatsResponse response;
-  response.request_id = 5;
-  response.fleet.global_budget_w = std::numeric_limits<double>::quiet_NaN();
-  std::vector<std::uint8_t> bytes;
-  encode_stats_response(response, bytes);
-  EXPECT_EQ(decode_frame(bytes).status, DecodeStatus::MalformedPayload);
-}
-
-TEST(ServeCodec, StatsResponseTruncatedInsideTheFleetBlockIsMalformed) {
-  // Cut the declared payload mid-way through the fleet counters: the
-  // block is not optional, so a short frame must not silently decode to
-  // a zeroed FleetStats.
-  StatsResponse response;
-  response.request_id = 6;
-  std::vector<std::uint8_t> bytes;
-  encode_stats_response(response, bytes);
-  const std::size_t shortened = bytes.size() - kFrameHeaderBytes - 20;
-  bytes[8] = static_cast<std::uint8_t>(shortened & 0xff);
-  bytes[9] = static_cast<std::uint8_t>((shortened >> 8) & 0xff);
-  bytes.resize(kFrameHeaderBytes + shortened);
-  const Decoded decoded = decode_frame(bytes);
-  EXPECT_EQ(decoded.status, DecodeStatus::MalformedPayload);
-  EXPECT_EQ(decoded.bytes_consumed, bytes.size());
-}
-
-TEST(ServeCodec, StatsResponseTruncatedInsideTheAdaptBlockIsMalformed) {
-  // Cut the declared payload mid-way through the adapt counters (the
-  // blocks appended after it — fleet 201 + empty series 21 + empty slo
-  // 13 — total 235 bytes, so the cut must reach past them): the block is
-  // not optional, so a short frame must not silently decode to a zeroed
-  // AdaptStats.
-  StatsResponse response;
-  response.request_id = 6;
-  std::vector<std::uint8_t> bytes;
-  encode_stats_response(response, bytes);
-  const std::size_t shortened = bytes.size() - kFrameHeaderBytes - 250;
-  bytes[8] = static_cast<std::uint8_t>(shortened & 0xff);
-  bytes[9] = static_cast<std::uint8_t>((shortened >> 8) & 0xff);
-  bytes.resize(kFrameHeaderBytes + shortened);
+  bytes.resize(bytes.size() - 4);  // drop the alert count
+  bytes.insert(bytes.end(), 107 + 201 + 21 + 13, 0);
+  const std::size_t payload = bytes.size() - kFrameHeaderBytes;
+  bytes[8] = static_cast<std::uint8_t>(payload & 0xff);
+  bytes[9] = static_cast<std::uint8_t>((payload >> 8) & 0xff);
   const Decoded decoded = decode_frame(bytes);
   EXPECT_EQ(decoded.status, DecodeStatus::MalformedPayload);
   EXPECT_EQ(decoded.bytes_consumed, bytes.size());
@@ -639,6 +504,10 @@ struct FeedbackNonFiniteCase {
   const char* name;
   double FeedbackRequest::* field;
 };
+
+void PrintTo(const FeedbackNonFiniteCase& test, std::ostream* os) {
+  *os << test.name;
+}
 
 class ServeCodecFeedbackNonFinite
     : public ::testing::TestWithParam<FeedbackNonFiniteCase> {};
@@ -916,27 +785,10 @@ TEST(ServeCodec, RequestDeadlineRoundTrips) {
   EXPECT_EQ(decoded.request.deadline_ns, 2'500'000u);
 }
 
-// ------------------------------------------------ series / slo blocks ----
+// ------------------------------------------------------- alert rows ----
 
-StatsResponse make_series_slo_response() {
-  StatsResponse response;
-  response.request_id = 5;
-  response.status = ResponseStatus::Ok;
-  response.series.attached = true;
-  response.series.ticks = 120;
-  response.series.capacity = 256;
-  SeriesRollupStats rollup;
-  rollup.name = "fleet.window_p99_us";
-  rollup.latest = 950.0;
-  rollup.points = 60;
-  rollup.sum = 48000.0;
-  rollup.min = 120.5;
-  rollup.max = 1800.25;
-  rollup.avg = 800.0;
-  response.series.series = {rollup};
-  response.slo.attached = true;
-  response.slo.slos = 3;
-  response.slo.active = 1;
+StatsResponse make_alert_response() {
+  StatsResponse response = make_stats_response();
   AlertSnapshot alert;
   alert.slo = "fleet.delivered";
   alert.fired_tick = 61;
@@ -951,112 +803,66 @@ StatsResponse make_series_slo_response() {
   AlertSnapshot cleared = alert;
   cleared.slo = "fleet.p99";
   cleared.cleared_tick = 90;
-  response.slo.alerts = {alert, cleared};
+  response.alerts = {alert, cleared};
   return response;
 }
 
-TEST(ServeCodec, StatsResponseCarriesSeriesAndSloBlocksExactly) {
-  const StatsResponse response = make_series_slo_response();
+TEST(ServeCodec, StatsResponseCarriesAlertRowsExactly) {
+  const StatsResponse response = make_alert_response();
   std::vector<std::uint8_t> bytes;
   encode_stats_response(response, bytes);
   const Decoded decoded = decode_frame(bytes);
   ASSERT_EQ(decoded.status, DecodeStatus::Ok);
-  EXPECT_EQ(decoded.stats_response.series, response.series);
-  EXPECT_EQ(decoded.stats_response.slo, response.slo);
-}
-
-TEST(ServeCodec, DetachedSeriesAndSloBlocksRoundTripAsZeros) {
-  StatsResponse response;
-  response.request_id = 6;
-  std::vector<std::uint8_t> bytes;
-  encode_stats_response(response, bytes);
-  const Decoded decoded = decode_frame(bytes);
-  ASSERT_EQ(decoded.status, DecodeStatus::Ok);
-  EXPECT_FALSE(decoded.stats_response.series.attached);
-  EXPECT_TRUE(decoded.stats_response.series.series.empty());
-  EXPECT_FALSE(decoded.stats_response.slo.attached);
-  EXPECT_TRUE(decoded.stats_response.slo.alerts.empty());
-}
-
-TEST(ServeCodec, NonFiniteSeriesRollupIsRejected) {
-  const StatsResponse response = make_series_slo_response();
-  // Keep only the series block's rollup; detach the slo block so its 13
-  // trailing bytes put the rollup's avg f64 at a known tail offset.
-  StatsResponse series_only = response;
-  series_only.slo = SloStats{};
-  std::vector<std::uint8_t> bytes;
-  encode_stats_response(series_only, bytes);
-  ASSERT_EQ(decode_frame(bytes).status, DecodeStatus::Ok);
-  // avg is the last rollup field: [size - 13 - 8, size - 13). Exponent
-  // all-ones + nonzero mantissa = NaN.
-  bytes[bytes.size() - 14] = 0xff;
-  bytes[bytes.size() - 15] = 0xff;
-  const Decoded decoded = decode_frame(bytes);
-  EXPECT_EQ(decoded.status, DecodeStatus::MalformedPayload);
-  EXPECT_EQ(decoded.bytes_consumed, bytes.size());
-}
-
-TEST(ServeCodec, SeriesAttachedMustBeBoolean) {
-  StatsResponse response;
-  std::vector<std::uint8_t> bytes;
-  encode_stats_response(response, bytes);
-  // With no metrics the series block starts at payload offset 321
-  // (8+1+4 response header + 107 adapt + 201 fleet, the fleet block's
-  // per-priority, brownout and model-mismatch rows included).
-  bytes[kFrameHeaderBytes + 321] = 2;
-  EXPECT_EQ(decode_frame(bytes).status, DecodeStatus::MalformedPayload);
-}
-
-TEST(ServeCodec, AbsurdSeriesCountIsRejected) {
-  StatsResponse response;
-  std::vector<std::uint8_t> bytes;
-  encode_stats_response(response, bytes);
-  // series count u32 at payload offset 321 + 1 + 8 + 8 = 338.
-  bytes[kFrameHeaderBytes + 338 + 3] = 0xff;  // ~16M rollups declared
-  EXPECT_EQ(decode_frame(bytes).status, DecodeStatus::MalformedPayload);
-}
-
-TEST(ServeCodec, SloActiveExceedingConfiguredIsRejected) {
-  StatsResponse response = make_series_slo_response();
-  response.slo.active = response.slo.slos + 1;
-  std::vector<std::uint8_t> bytes;
-  encode_stats_response(response, bytes);
-  EXPECT_EQ(decode_frame(bytes).status, DecodeStatus::MalformedPayload);
+  EXPECT_EQ(decoded.stats_response.metrics, response.metrics);
+  EXPECT_EQ(decoded.stats_response.alerts, response.alerts);
 }
 
 TEST(ServeCodec, AlertThatNeverFiredIsRejected) {
-  StatsResponse response = make_series_slo_response();
-  response.slo.alerts[0].fired_tick = 0;
+  StatsResponse response = make_alert_response();
+  response.alerts[0].fired_tick = 0;
   std::vector<std::uint8_t> bytes;
   encode_stats_response(response, bytes);
   EXPECT_EQ(decode_frame(bytes).status, DecodeStatus::MalformedPayload);
 }
 
 TEST(ServeCodec, AlertClearedBeforeItFiredIsRejected) {
-  StatsResponse response = make_series_slo_response();
-  response.slo.alerts[1].cleared_tick = response.slo.alerts[1].fired_tick - 1;
+  StatsResponse response = make_alert_response();
+  response.alerts[1].cleared_tick = response.alerts[1].fired_tick - 1;
   std::vector<std::uint8_t> bytes;
   encode_stats_response(response, bytes);
   EXPECT_EQ(decode_frame(bytes).status, DecodeStatus::MalformedPayload);
 }
 
 TEST(ServeCodec, NonFiniteBurnRateIsRejected) {
-  StatsResponse response = make_series_slo_response();
-  response.slo.alerts[0].fast_burn =
+  StatsResponse response = make_alert_response();
+  response.alerts[0].fast_burn =
       std::numeric_limits<double>::infinity();
   std::vector<std::uint8_t> bytes;
   encode_stats_response(response, bytes);
   EXPECT_EQ(decode_frame(bytes).status, DecodeStatus::MalformedPayload);
 }
 
-TEST(ServeCodec, StatsResponseTruncatedInsideTheSeriesBlockIsMalformed) {
-  StatsResponse response = make_series_slo_response();
+TEST(ServeCodec, ExemplarCountBeyondThePayloadIsRejected) {
+  StatsResponse response = make_alert_response();
+  response.alerts.resize(1);
   std::vector<std::uint8_t> bytes;
   encode_stats_response(response, bytes);
-  // Re-declare the payload length to end mid-rollup (cut the trailing
-  // slo block plus half the rollup away).
+  // The exemplar count u32 sits just before the alert's two trace ids;
+  // its high byte declares ~16M exemplars.
+  bytes[bytes.size() - 16 - 1] = 0xff;
+  const Decoded decoded = decode_frame(bytes);
+  EXPECT_EQ(decoded.status, DecodeStatus::MalformedPayload);
+  EXPECT_EQ(decoded.bytes_consumed, bytes.size());
+}
+
+TEST(ServeCodec, StatsResponseTruncatedInsideAnAlertRowIsMalformed) {
+  const StatsResponse response = make_alert_response();
+  std::vector<std::uint8_t> bytes;
+  encode_stats_response(response, bytes);
+  // Re-declare the payload length to end mid-way through the last alert:
+  // the rows are not optional, so a short frame must not decode.
   const std::size_t payload = bytes.size() - kFrameHeaderBytes;
-  const std::size_t shortened = payload - 120;
+  const std::size_t shortened = payload - 40;
   bytes[8] = static_cast<std::uint8_t>(shortened & 0xff);
   bytes[9] = static_cast<std::uint8_t>((shortened >> 8) & 0xff);
   bytes.resize(kFrameHeaderBytes + shortened);
@@ -1205,42 +1011,6 @@ TEST(ServeCodec, PriorityBlockCoexistsWithATraceBlock) {
   EXPECT_EQ(decoded.trace.trace_id, 0x1111u);
   EXPECT_TRUE(decoded.has_priority);
   EXPECT_EQ(decoded.request.priority, Priority::Low);
-}
-
-// ---- fleet block: per-priority + brownout rows -------------------------
-
-TEST(ServeCodec, FleetBlockPriorityAndBrownoutRowsRoundTrip) {
-  StatsResponse response;
-  response.request_id = 11;
-  response.fleet.attached = true;
-  response.fleet.shards = 6;
-  response.fleet.replicas = 18;
-  response.fleet.replicas_alive = 17;
-  response.fleet.routed = 600;
-  response.fleet.delivered = 550;
-  response.fleet.shed = 50;
-  response.fleet.routed_by_priority = {100, 300, 200};
-  response.fleet.delivered_by_priority = {100, 300, 150};
-  response.fleet.shed_by_priority = {0, 0, 50};
-  response.fleet.brownout_stage = 2;
-  response.fleet.brownout_events = 3;
-  std::vector<std::uint8_t> bytes;
-  encode_stats_response(response, bytes);
-  const Decoded decoded = decode_frame(bytes);
-  ASSERT_EQ(decoded.status, DecodeStatus::Ok);
-  EXPECT_EQ(decoded.stats_response.fleet, response.fleet);
-}
-
-TEST(ServeCodec, BrownoutStageBeyondTheLadderIsRejected) {
-  StatsResponse response;
-  response.request_id = 12;
-  response.fleet.attached = true;
-  response.fleet.brownout_stage = 4;  // deeper than ForceLowPower
-  std::vector<std::uint8_t> bytes;
-  encode_stats_response(response, bytes);
-  const Decoded decoded = decode_frame(bytes);
-  EXPECT_EQ(decoded.status, DecodeStatus::MalformedPayload);
-  EXPECT_EQ(decoded.bytes_consumed, bytes.size());
 }
 
 // ---- fingerprint block -------------------------------------------------

@@ -8,6 +8,10 @@
 #include <atomic>
 #include <cstdint>
 #include <future>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -302,10 +306,18 @@ TEST_F(ServeTest, ConcurrentStreamMatchesReferenceAcrossHotSwap) {
   std::atomic<std::uint64_t> submitted_count{0};
   std::atomic<std::uint64_t> v2{0};
 
+  // The swap is sequenced, not raced: every client submits its first
+  // half, then waits for v2 to be published before submitting the rest,
+  // so both versions serve however the threads are scheduled.
   std::vector<std::thread> clients;
   for (std::size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (std::uint64_t i = 0; i < kPerClient; ++i) {
+        if (i == kPerClient / 2) {
+          while (v2.load() == 0) {
+            std::this_thread::yield();
+          }
+        }
         SelectRequest request =
             make_request(c * kPerClient + i, 7 + c);
         // A slice of requests pins version 1 explicitly — they must be
@@ -318,7 +330,7 @@ TEST_F(ServeTest, ConcurrentStreamMatchesReferenceAcrossHotSwap) {
       }
     });
   }
-  // Hot-swap mid-stream, once roughly half the requests are in.
+  // Hot-swap mid-stream, once every client's first half is in.
   std::thread swapper{[&] {
     while (submitted_count.load() < kClients * kPerClient / 2) {
       std::this_thread::yield();
@@ -365,6 +377,51 @@ TEST_F(ServeTest, ConcurrentStreamMatchesReferenceAcrossHotSwap) {
   EXPECT_EQ(snapshot.errors, 0u);
   EXPECT_GE(snapshot.batches, 1u);
   EXPECT_GE(snapshot.mean_batch, 1.0);
+}
+
+/// Delegates to a real model, but its first predict() throws a
+/// non-acsel exception — what a predictor bug looks like in production.
+class ThrowsOnceOutOfRange final : public core::Predictor {
+ public:
+  explicit ThrowsOnceOutOfRange(core::PredictorPtr inner)
+      : inner_(std::move(inner)) {}
+  std::string_view kind() const override { return inner_->kind(); }
+  std::size_t cluster_count() const override {
+    return inner_->cluster_count();
+  }
+  const hw::ConfigSpace& config_space() const override {
+    return inner_->config_space();
+  }
+  std::size_t classify(const core::SamplePair& samples) const override {
+    return inner_->classify(samples);
+  }
+  core::Prediction predict(const core::SamplePair& samples) const override {
+    if (!thrown_.exchange(true)) {
+      throw std::out_of_range{"cluster index out of range"};
+    }
+    return inner_->predict(samples);
+  }
+  std::string serialize_body() const override {
+    return inner_->serialize_body();
+  }
+
+ private:
+  core::PredictorPtr inner_;
+  mutable std::atomic<bool> thrown_{false};
+};
+
+TEST_F(ServeTest, NonAcselExceptionFromPredictResolvesAsInternalError) {
+  ModelRegistry registry;
+  registry.publish(std::make_shared<ThrowsOnceOutOfRange>(model_a_));
+  ServerOptions options;
+  options.workers = 1;
+  Server server{registry, options};
+  // The throw resolves the request instead of killing the worker...
+  EXPECT_EQ(server.select(make_request(1, 5)).status,
+            ResponseStatus::InternalError);
+  // ...so the next request is still served.
+  EXPECT_EQ(server.select(make_request(2, 5)).status, ResponseStatus::Ok);
+  EXPECT_EQ(server.metrics_snapshot().errors, 1u);
 }
 
 TEST_F(ServeTest, ShedsWithErrorWhenQueueIsFull) {

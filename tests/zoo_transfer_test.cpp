@@ -190,7 +190,7 @@ TEST_F(ZooTransferTest, HeterogeneousFleetRoutesToMatchedShards) {
         fleet.select(keyed_request(id, target));
     EXPECT_EQ(response.status, serve::ResponseStatus::Ok) << "id " << id;
   }
-  const serve::FleetStats stats = fleet.stats();
+  const fleet::FleetStats stats = fleet.stats();
   fleet.stop();
   // Every shard is healthy, so every request landed on its own
   // architecture's shard.
@@ -218,7 +218,7 @@ TEST_F(ZooTransferTest, FailedMatchedShardFallsBackAndCountsMismatch) {
         fleet.select(keyed_request(id, fingerprint(Archetype::Trinity)));
     delivered += response.status == serve::ResponseStatus::Ok ? 1 : 0;
   }
-  const serve::FleetStats stats = fleet.stats();
+  const fleet::FleetStats stats = fleet.stats();
   fleet.stop();
   EXPECT_GT(delivered, 0u);
   EXPECT_EQ(stats.model_mismatch, delivered);
