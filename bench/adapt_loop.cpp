@@ -1,8 +1,9 @@
 // Adaptation bench: drives the full continual-learning loop under an
-// injected mid-run workload shift and emits BENCH_adapt.json so CI can
-// assert the loop closes — drift fires, a background retrain produces a
-// candidate, the canary gates it, and the promoted model recovers
-// selection quality in the shifted world.
+// injected mid-run workload shift, emits BENCH_adapt.json, and exits
+// non-zero unless the loop closes — drift fires, a background retrain
+// produces a candidate, the canary accepts it, and the promoted model
+// recovers selection quality in the shifted world (within 1.1x + 0.05 of
+// the pre-shift baseline, below the stale error, with no rollback).
 //
 // The serving side keeps predicting from its *retained* pre-shift
 // profiles while measurements come back from the shifted world — that
@@ -166,8 +167,19 @@ int main() {
   const adapt::AdaptStats stats = controller.adapt_stats();
   const double recovered_error = mean_error(*registry.current().model,
                                             shifted);
-  const bool recovered = stats.promotions > 0 && stats.rollbacks == 0 &&
-                         recovered_error <= 1.1 * baseline + 0.05;
+  bench::Gate gate;
+  const double recovery_bound = 1.1 * baseline + 0.05;
+  bool recovered =
+      gate.check(stats.promotions > 0, "promotions", stats.promotions, "> 0");
+  recovered &=
+      gate.check(stats.rollbacks == 0, "rollbacks", stats.rollbacks, "== 0");
+  recovered &= gate.check(
+      recovered_error <= recovery_bound, "recovered error", recovered_error,
+      "<= 1.1 x baseline + 0.05 = " + format_double(recovery_bound, 6));
+  gate.check(recovered_error < stale, "recovered error", recovered_error,
+             "< stale " + format_double(stale, 6));
+  gate.check(stats.canary_accepted >= 1, "canary_accepted",
+             stats.canary_accepted, ">= 1");
 
   TextTable table;
   table.set_header({"metric", "value"});
@@ -220,5 +232,5 @@ int main() {
        << ", \"iterations_to_recover\": " << rounds_to_promotion
        << ", \"canary_accepted\": " << stats.canary_accepted << "}\n}\n";
   std::cout << "Wrote BENCH_adapt.json\n";
-  return recovered ? 0 : 1;
+  return gate.exit_code();
 }

@@ -1,7 +1,8 @@
 // Shared plumbing for the reproduction benches: one canonical machine
 // seed so every figure is computed from the same simulated experiment, a
-// shared thread pool sized from ACSEL_THREADS, and a helper that prints
-// our rows next to the paper's reported values.
+// shared thread pool sized from ACSEL_THREADS, a helper that prints our
+// rows next to the paper's reported values, and the pass/fail gate the
+// JSON-emitting benches hold their bounds with.
 #pragma once
 
 #include <cstdint>
@@ -63,5 +64,27 @@ inline void print_header(const std::string& title,
             << "(simulated Trinity APU substrate — compare shapes, not "
                "absolute values; see EXPERIMENTS.md)\n\n";
 }
+
+/// A bench's bounds live in the binary that computes the numbers: each
+/// failed check prints `FAIL: <what> = <value> (want <bound>)` to stderr
+/// and returns false, and main() returns exit_code(), non-zero if any
+/// bound failed.
+class Gate {
+ public:
+  template <typename T>
+  bool check(bool ok, const std::string& what, const T& value,
+             const std::string& bound) {
+    if (!ok) {
+      std::cerr << "FAIL: " << what << " = " << value << " (want " << bound
+                << ")\n";
+      failed_ = true;
+    }
+    return ok;
+  }
+  int exit_code() const { return failed_ ? 1 : 0; }
+
+ private:
+  bool failed_ = false;
+};
 
 }  // namespace acsel::bench

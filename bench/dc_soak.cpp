@@ -3,16 +3,17 @@
 // and a 40% facility power cut with staged recovery — against a sharded
 // fleet with the full overload-control stack engaged (priority
 // admission, retry budgets, brownout stages, guardrail fallback), and
-// emits BENCH_dc.json for the CI gate.
-//
-// The contract the gate enforces:
+// emits BENCH_dc.json. The bench exits non-zero unless it holds its
+// contract:
 //   * zero lost requests, in any mode (answered or explicitly shed);
+//   * every offered request routed;
 //   * per-priority conservation: routed == delivered + shed per class;
 //   * high-priority delivered fraction >= 0.99 across the whole run;
 //   * zero cap-exceedance windows after the brownout recovers;
 //   * client retries bounded by the fleet's retry budget;
-//   * the scripted power cut reaches at least the shed-low stage and
-//     (clean runs) fully unwinds before the run ends.
+//   * the scripted power cut reaches at least the shed-low stage, in at
+//     least one brownout event, and (clean runs) fully unwinds before
+//     the run ends.
 //
 // Chaos mode (ACSEL_FAULTS=node_loss,budget_cut) layers random replica
 // loss and random power emergencies on top of the script; the same
@@ -239,44 +240,36 @@ int main(int argc, char** argv) {
   std::cout << "Wrote BENCH_dc.json\n";
 
   // -- the gate -----------------------------------------------------------
-  bool failed = false;
-  if (report.lost != 0) {
-    std::cerr << "FAIL: " << report.lost << " requests lost\n";
-    failed = true;
-  }
+  bench::Gate gate;
+  gate.check(report.lost == 0, "lost", report.lost, "== 0");
+  gate.check(report.offered == fs.routed, "routed", fs.routed,
+             "== offered " + std::to_string(report.offered));
   for (std::size_t p = 0; p < serve::kPriorityClasses; ++p) {
-    if (fs.routed_by_priority[p] !=
-        fs.delivered_by_priority[p] + fs.shed_by_priority[p]) {
-      std::cerr << "FAIL: " << priority_name(p)
-                << " conservation broken (routed != delivered + shed)\n";
-      failed = true;
-    }
+    const std::uint64_t accounted =
+        fs.delivered_by_priority[p] + fs.shed_by_priority[p];
+    gate.check(fs.routed_by_priority[p] == accounted,
+               std::string{priority_name(p)} + " routed",
+               fs.routed_by_priority[p],
+               "== delivered + shed " + std::to_string(accounted));
   }
-  if (report.delivered_fraction[static_cast<std::size_t>(
-          serve::Priority::High)] < 0.99) {
-    std::cerr << "FAIL: high-priority delivered fraction < 0.99\n";
-    failed = true;
+  const double high_fraction = report.delivered_fraction[static_cast<
+      std::size_t>(serve::Priority::High)];
+  gate.check(high_fraction >= 0.99, "high delivered_fraction", high_fraction,
+             ">= 0.99");
+  gate.check(report.cap_exceedance_ticks_after_recovery == 0,
+             "cap_exceedance_ticks_after_recovery",
+             report.cap_exceedance_ticks_after_recovery, "== 0");
+  gate.check(static_cast<double>(report.client.retries) <= retry_bound,
+             "client retries", report.client.retries,
+             "<= retry_bound " + format_double(retry_bound, 6));
+  // The scripted 40% power cut must reach at least the shed-low stage.
+  gate.check(report.brownout_seen && report.brownout_depth >= 2,
+             "brownout depth", report.brownout_depth, ">= 2");
+  gate.check(report.brownout_events >= 1, "brownout events",
+             report.brownout_events, ">= 1");
+  if (!chaos) {
+    gate.check(final_stage == 0, "final brownout stage", final_stage,
+               "== 0 (unwound by the end of a clean run)");
   }
-  if (report.cap_exceedance_ticks_after_recovery != 0) {
-    std::cerr << "FAIL: " << report.cap_exceedance_ticks_after_recovery
-              << " cap-exceedance ticks after brownout recovery\n";
-    failed = true;
-  }
-  if (static_cast<double>(report.client.retries) > retry_bound) {
-    std::cerr << "FAIL: " << report.client.retries
-              << " retries exceed the retry budget bound " << retry_bound
-              << "\n";
-    failed = true;
-  }
-  if (!report.brownout_seen || report.brownout_depth < 2) {
-    std::cerr << "FAIL: the scripted 40% power cut never reached the "
-                 "shed-low brownout stage\n";
-    failed = true;
-  }
-  if (!chaos && final_stage != 0) {
-    std::cerr << "FAIL: brownout stage " << final_stage
-              << " still active at the end of a clean run\n";
-    failed = true;
-  }
-  return failed ? 1 : 0;
+  return gate.exit_code();
 }

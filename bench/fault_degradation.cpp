@@ -1,5 +1,5 @@
 // Chaos bench: drives the two graceful-degradation paths under seeded
-// fault injection and emits BENCH_fault.json so CI can assert the
+// fault injection, emits BENCH_fault.json, and exits non-zero unless the
 // defenses hold — the runtime never settles above its cap after faults
 // clear, and the serving stack keeps answering while its current model
 // and its wire are both misbehaving.
@@ -11,7 +11,8 @@
 //  2. Serve: a retrying Client talks through a corrupting wire to a
 //     Server whose *current* model is corrupt; the circuit breaker
 //     reroutes to the previous version. Reported: delivered selections,
-//     reroutes, retries, trips, p99.
+//     reroutes, retries, retry-budget exhaustions, trips, p99. More than
+//     90% must be delivered, with the retry budget never running dry.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -107,6 +108,7 @@ struct ServeChaosResult {
   std::uint64_t delivered = 0;
   std::uint64_t rerouted = 0;
   std::uint64_t retries = 0;
+  std::uint64_t retry_budget_exhausted = 0;
   std::uint64_t breaker_trips = 0;
   std::uint64_t errors = 0;
   double p99_us = 0.0;
@@ -135,6 +137,10 @@ ServeChaosResult run_serve_chaos(
   fault::Injector::global().arm("wire.corrupt", {0.2, 1, 1.0});
   serve::ClientOptions client_options;
   client_options.max_attempts = 4;
+  // Sustained 20% corruption needs about a quarter of all calls retried;
+  // the default budget (0.1 retry per call) runs dry and gives up on
+  // about 11% of requests, so this scenario states the budget it needs.
+  client_options.retry_budget_ratio = 0.3;
   client_options.sleep = [](std::chrono::microseconds) {};
   serve::Client client{[&](std::span<const std::uint8_t> frame) {
                          return server.serve_frame(frame);
@@ -159,6 +165,7 @@ ServeChaosResult run_serve_chaos(
   const auto snapshot = server.metrics_snapshot();
   result.rerouted = snapshot.breaker_rerouted;
   result.retries = client.retries();
+  result.retry_budget_exhausted = client.retry_budget_exhausted();
   result.breaker_trips = server.breaker().trips();
   result.errors = snapshot.errors;
   result.p99_us = snapshot.latency.p99_us;
@@ -203,9 +210,13 @@ int main() {
   table.add_row({"serve", "breaker trips",
                  std::to_string(serve.breaker_trips)});
   table.add_row({"serve", "client retries", std::to_string(serve.retries)});
+  table.add_row({"serve", "retry budget exhausted",
+                 std::to_string(serve.retry_budget_exhausted)});
   table.add_row({"serve", "p99 (us)", format_double(serve.p99_us, 4)});
   table.print(std::cout, "degradation under injected faults");
 
+  const double delivered_fraction = static_cast<double>(serve.delivered) /
+                                    static_cast<double>(serve.requests);
   std::cout << "\nHeadline: " << runtime.exceedances_after_recovery
             << " cap exceedances after recovery (target: 0), "
             << serve.delivered << "/" << serve.requests
@@ -226,16 +237,23 @@ int main() {
        << ", \"delivered\": " << serve.delivered
        << ", \"rerouted\": " << serve.rerouted
        << ", \"retries\": " << serve.retries
+       << ", \"retry_budget_exhausted\": " << serve.retry_budget_exhausted
        << ", \"breaker_trips\": " << serve.breaker_trips
        << ", \"errors\": " << serve.errors
        << ", \"p99_us\": " << format_double(serve.p99_us, 6)
        << "},\n  \"headline\": {\"exceedances_after_recovery\": "
        << runtime.exceedances_after_recovery
-       << ", \"delivered_fraction\": "
-       << format_double(static_cast<double>(serve.delivered) /
-                            static_cast<double>(serve.requests),
-                        6)
+       << ", \"delivered_fraction\": " << format_double(delivered_fraction, 6)
        << "}\n}\n";
   std::cout << "Wrote BENCH_fault.json\n";
-  return runtime.exceedances_after_recovery == 0 ? 0 : 1;
+
+  bench::Gate gate;
+  gate.check(runtime.exceedances_after_recovery == 0,
+             "exceedances_after_recovery",
+             runtime.exceedances_after_recovery, "== 0");
+  gate.check(delivered_fraction > 0.9, "delivered_fraction",
+             delivered_fraction, "> 0.9");
+  gate.check(serve.retry_budget_exhausted == 0, "retry_budget_exhausted",
+             serve.retry_budget_exhausted, "== 0");
+  return gate.exit_code();
 }

@@ -1,8 +1,8 @@
 // Closed-loop load generator for the fleet layer: drives a sharded,
 // replicated fleet and a single-node baseline through the same request
 // mix, projects aggregate throughput from the shards' simulated busy
-// clocks, and emits BENCH_fleet.json so CI can bounds-check the scaling
-// headline and the chaos delivery guarantee.
+// clocks, emits BENCH_fleet.json, and exits non-zero unless the scaling
+// headline (clean) or the chaos delivery guarantee (ACSEL_FAULTS) holds.
 //
 // Simulated-time projection: every replica is a separate machine in
 // deployment, so a one-box run cannot observe fleet wall-clock speedup.
@@ -14,7 +14,11 @@
 //
 // Delivery accounting is the chaos contract: routed == delivered + shed,
 // always — a request is answered or explicitly shed, never dropped. The
-// bench exits non-zero if any request is lost, in any mode.
+// bench exits non-zero if any request is lost, in any mode; if a clean
+// run misses 8x single-node, 100% delivery, a sampled trace or zero SLO
+// alerts; or if a chaos run delivers under 95%, sees no membership
+// transition, or fails to fire (with an exemplar) and clear the
+// delivered SLO alert.
 #include <cstdint>
 #include <fstream>
 #include <functional>
@@ -155,6 +159,7 @@ int main(int argc, char** argv) {
   constexpr std::size_t kFleetRequests = 4800;
   constexpr std::size_t kBaselineRequests = 1200;
   constexpr std::size_t kBatch = 100;
+  constexpr double kTargetSpeedup = 8.0;
   // Deterministic chaos script (chaos mode only): black out one whole
   // shard a third into the run, revive everything two thirds in — the
   // delivered SLO must fire during the blackout and clear after.
@@ -263,10 +268,14 @@ int main(int argc, char** argv) {
   const std::vector<obs::Alert> alerts = fleet.alerts();
   bool delivered_fired = false;
   bool delivered_cleared = false;
+  std::size_t delivered_exemplars = 0;  // of the first delivered alert
   std::size_t active_alerts = 0;
   for (const obs::Alert& alert : alerts) {
     active_alerts += alert.active();
     if (alert.slo == "fleet.delivered") {
+      if (!delivered_fired) {
+        delivered_exemplars = alert.exemplar_trace_ids.size();
+      }
       delivered_fired = true;
       delivered_cleared = delivered_cleared || !alert.active();
     }
@@ -324,7 +333,8 @@ int main(int argc, char** argv) {
        << ", \"vote_disagreements\": " << fs.vote_disagreements
        << ", \"median_fallbacks\": " << fs.median_fallbacks
        << ", \"membership_transitions\": " << fs.membership_transitions
-       << ", \"target_speedup\": 8, \"target_lost\": 0},\n  \"slo\": {"
+       << ", \"target_speedup\": " << kTargetSpeedup
+       << ", \"target_lost\": 0},\n  \"slo\": {"
        << "\"alerts\": " << alerts.size() << ", \"active\": " << active_alerts
        << ", \"delivered_alert_fired\": " << (delivered_fired ? "true" : "false")
        << ", \"delivered_alert_cleared\": "
@@ -340,24 +350,30 @@ int main(int argc, char** argv) {
   json << "]}\n}\n";
   std::cout << "Wrote BENCH_fleet.json\n";
 
-  if (lost != 0) {
-    std::cerr << "FAIL: " << lost
-              << " requests lost (neither delivered nor shed)\n";
-    return 1;
-  }
+  bench::Gate gate;
+  gate.check(lost == 0, "lost", lost, "== 0");
   // SLO verdicts are part of the bench contract: a clean run must hold
   // every objective; the chaos script must burn the delivered SLO during
   // the blackout and drain it after the revive.
-  if (!chaos && !alerts.empty()) {
-    std::cerr << "FAIL: clean run raised " << alerts.size()
-              << " SLO alert(s)\n";
-    return 1;
+  if (!chaos) {
+    gate.check(speedup >= kTargetSpeedup, "speedup", speedup,
+               ">= " + format_double(kTargetSpeedup, 6));
+    gate.check(delivered_fraction == 1.0, "delivered_fraction",
+               delivered_fraction, "== 1");
+    gate.check(alerts.empty(), "SLO alerts", alerts.size(), "== 0");
+    gate.check(collector.trace_ids().size() >= 1, "sampled_traces",
+               collector.trace_ids().size(), ">= 1");
+  } else {
+    gate.check(delivered_fraction >= 0.95, "delivered_fraction",
+               delivered_fraction, ">= 0.95");
+    gate.check(fs.membership_transitions >= 1, "membership_transitions",
+               fs.membership_transitions, ">= 1");
+    gate.check(delivered_fired, "delivered SLO alert fired", delivered_fired,
+               "1");
+    gate.check(delivered_cleared, "delivered SLO alert cleared",
+               delivered_cleared, "1");
+    gate.check(delivered_exemplars >= 1, "delivered SLO alert exemplars",
+               delivered_exemplars, ">= 1");
   }
-  if (chaos && !(delivered_fired && delivered_cleared)) {
-    std::cerr << "FAIL: chaos run delivered-SLO alert fired="
-              << delivered_fired << " cleared=" << delivered_cleared
-              << " (want both)\n";
-    return 1;
-  }
-  return 0;
+  return gate.exit_code();
 }

@@ -4,13 +4,18 @@
 // the adapt loop (drift -> retrain -> canary -> republish) close the gap
 // and report the recovery lag. Runs the full A×B matrix over the zoo's
 // archetypes (--quick: a 2×2 Trinity/HPC-GPU sub-matrix for CI) and
-// emits BENCH_transfer.json for the CI bounds gate.
+// emits BENCH_transfer.json. On every off-diagonal pair the bench exits
+// non-zero unless the mismatched score is strictly worse than the
+// matched one (the cliff) and the recovered score is within 2x of
+// matched plus 0.02 (a floor so near-zero matched scores do not demand
+// the impossible).
 //
 // A second section stands up a *heterogeneous* fleet — one shard per
 // archetype, each shard carrying its architecture's fingerprint and
 // model via publish_for — and drives fingerprint-carrying requests
 // through it: with every shard healthy, routing must deliver 100% of
-// requests on fingerprint-matched shards with zero model mismatches.
+// requests on fingerprint-matched shards with zero model mismatches and
+// nothing shed.
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -25,19 +30,7 @@
 #include "zoo/fingerprint.h"
 #include "zoo/transfer.h"
 
-namespace {
-
 using namespace acsel;
-
-/// Recovery bound the bench (and the CI gate) holds the adapt loop to:
-/// within 2x of the matched-model score (selection error + cap-violation
-/// rate), plus a small absolute floor so near-zero matched scores do not
-/// demand the impossible.
-bool recovered_ok(const zoo::TransferResult& cell) {
-  return cell.recovered_score <= 2.0 * cell.matched_score + 0.02;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   bench::print_header("model_transfer: train on A, serve B, adapt back",
@@ -65,16 +58,26 @@ int main(int argc, char** argv) {
   TextTable table;
   table.set_header({"train \\ serve", "matched", "mismatched", "viol%",
                     "recovered", "viol%", "rounds"});
+  bench::Gate gate;
   bool cliff_everywhere = true;
   bool recovery_everywhere = true;
   for (const zoo::TransferResult& cell : matrix) {
     const bool diagonal = cell.train_arch == cell.serve_arch;
+    const std::string pair = std::string(zoo::to_string(cell.train_arch)) +
+                             " -> " + zoo::to_string(cell.serve_arch);
     if (!diagonal) {
-      cliff_everywhere &= cell.mismatched_score > cell.matched_score;
-      recovery_everywhere &= recovered_ok(cell);
+      cliff_everywhere &=
+          gate.check(cell.mismatched_score > cell.matched_score,
+                     pair + " mismatched_score", cell.mismatched_score,
+                     "> matched " + format_double(cell.matched_score, 6));
+      const double recovery_bound = 2.0 * cell.matched_score + 0.02;
+      recovery_everywhere &=
+          gate.check(cell.recovered_score <= recovery_bound,
+                     pair + " recovered_score", cell.recovered_score,
+                     "<= 2 x matched + 0.02 = " +
+                         format_double(recovery_bound, 6));
     }
-    table.add_row({std::string(zoo::to_string(cell.train_arch)) + " -> " +
-                       zoo::to_string(cell.serve_arch),
+    table.add_row({pair,
                    format_double(cell.matched_score, 4),
                    format_double(cell.mismatched_score, 4),
                    format_double(100.0 * cell.mismatched_violation_rate, 3),
@@ -122,9 +125,14 @@ int main(int argc, char** argv) {
   }
   const fleet::FleetStats fleet_stats = fleet.stats();
   fleet.stop();
-  const bool fleet_clean = fleet_ok == fleet_requests &&
-                           fleet_stats.model_mismatch == 0 &&
-                           fleet_stats.shed == 0;
+  bool fleet_clean =
+      gate.check(fleet_ok == fleet_requests, "fleet delivered_ok", fleet_ok,
+                 "== requests " + std::to_string(fleet_requests));
+  fleet_clean &= gate.check(fleet_stats.model_mismatch == 0,
+                            "fleet model_mismatch",
+                            fleet_stats.model_mismatch, "== 0");
+  fleet_clean &=
+      gate.check(fleet_stats.shed == 0, "fleet shed", fleet_stats.shed, "== 0");
 
   std::cout << "\nHeterogeneous fleet: " << fleet_ok << "/" << fleet_requests
             << " delivered, " << fleet_stats.model_mismatch
@@ -181,5 +189,5 @@ int main(int argc, char** argv) {
        << (recovery_everywhere ? "true" : "false") << ", \"fleet_clean\": "
        << (fleet_clean ? "true" : "false") << "}\n}\n";
   std::cout << "Wrote BENCH_transfer.json\n";
-  return cliff_everywhere && recovery_everywhere && fleet_clean ? 0 : 1;
+  return gate.exit_code();
 }

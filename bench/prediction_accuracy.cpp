@@ -9,9 +9,10 @@
 // the risk-aversion multiplier z on a *drifted* workload: models trained
 // on the clean world select under the cap while measurements come from a
 // shifted one — the regime where a point estimate quietly busts the cap.
-// Emits BENCH_predictors.json; CI gates the headline (UCB selection must
-// exceed the cap strictly less often than point-estimate selection, at
-// equal or better violation-penalized selection error).
+// Emits BENCH_predictors.json and exits non-zero unless, for each family,
+// UCB selection exceeds the cap strictly less often than point-estimate
+// selection at equal or better violation-penalized selection error, and
+// the GP's UCB exceeds it no more often than the cart point estimate.
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -225,12 +226,26 @@ int main() {
   const SweepCell cart_ucb = best_ucb("cluster-cart");
   const SweepCell gp_point = point_of("gp-sqexp");
   const SweepCell gp_ucb = best_ucb("gp-sqexp");
-  const bool risk_averse_wins =
-      gp_ucb.cap_exceedance < gp_point.cap_exceedance &&
-      gp_ucb.penalized_error <= gp_point.penalized_error &&
-      cart_ucb.cap_exceedance < cart_point.cap_exceedance &&
-      cart_ucb.penalized_error <= cart_point.penalized_error &&
-      gp_ucb.cap_exceedance <= cart_point.cap_exceedance;
+  bench::Gate gate;
+  const auto ucb_beats_point = [&gate](const std::string& kind,
+                                       const SweepCell& point,
+                                       const SweepCell& ucb) {
+    bool wins = gate.check(ucb.cap_exceedance < point.cap_exceedance,
+                           kind + " ucb cap_exceedance", ucb.cap_exceedance,
+                           "< point " + format_double(point.cap_exceedance, 6));
+    wins &= gate.check(ucb.penalized_error <= point.penalized_error,
+                       kind + " ucb penalized_error", ucb.penalized_error,
+                       "<= point " + format_double(point.penalized_error, 6));
+    return wins;
+  };
+  bool risk_averse_wins = ucb_beats_point("cart", cart_point, cart_ucb);
+  risk_averse_wins &= ucb_beats_point("gp", gp_point, gp_ucb);
+  // The GP's risk-averse selection must also bust the cap no more often
+  // than the paper's point-estimate baseline.
+  risk_averse_wins &= gate.check(
+      gp_ucb.cap_exceedance <= cart_point.cap_exceedance,
+      "gp ucb cap_exceedance", gp_ucb.cap_exceedance,
+      "<= cart point " + format_double(cart_point.cap_exceedance, 6));
 
   std::cout << "\nHeadline: UCB (z=" << format_double(gp_ucb.z, 2)
             << ") cap exceedance "
@@ -268,5 +283,5 @@ int main() {
        << ",\n    \"risk_averse_wins\": "
        << (risk_averse_wins ? "true" : "false") << "\n  }\n}\n";
   std::cout << "Wrote BENCH_predictors.json\n";
-  return risk_averse_wins ? 0 : 1;
+  return gate.exit_code();
 }

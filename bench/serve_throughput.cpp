@@ -6,7 +6,10 @@
 // Context for the numbers: §IV-C reports a single selection costs < 1 ms
 // (tree walk + matrix-vector products). The service layer must add
 // negligible overhead on top — the headline check is >= 50k selections/s
-// at 8 workers with p99 < 1 ms.
+// at 8 workers with p99 < 1 ms. That target is reported, not gated: the
+// bench exits non-zero only if some run's p99 reaches 200 ms, the bound
+// that keeps latency finite under injected SMU and wire faults.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -143,6 +146,7 @@ int main() {
   // -- sweep worker count x offered load ---------------------------------
   const std::chrono::milliseconds window{400};
   std::vector<RunResult> results;
+  double worst_p99_us = 0.0;
   TextTable table;
   table.set_header({"workers", "clients", "qps", "p50 us", "p99 us",
                     "max us", "mean batch", "shed"});
@@ -152,6 +156,7 @@ int main() {
           run_window(registry, workers, clients, sample_pool, window);
       results.push_back(run);
       const auto& s = run.snapshot;
+      worst_p99_us = std::max(worst_p99_us, s.latency.p99_us);
       table.add_row({std::to_string(run.workers),
                      std::to_string(run.clients), format_double(s.qps, 6),
                      format_double(s.latency.p50_us, 4),
@@ -199,5 +204,9 @@ int main() {
        << format_double(best_at_8->snapshot.latency.p99_us, 6)
        << ", \"target_qps\": 50000, \"target_p99_us\": 1000}\n}\n";
   std::cout << "Wrote BENCH_serve.json\n";
-  return 0;
+
+  bench::Gate gate;
+  gate.check(worst_p99_us < 200'000.0, "worst run p99_us", worst_p99_us,
+             "< 200000");
+  return gate.exit_code();
 }

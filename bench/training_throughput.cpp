@@ -1,9 +1,9 @@
 // Training-throughput bench for the parallel offline pipeline: times the
 // three executor-distributed stages — characterization sweep, train
 // (frontiers, dissimilarity, per-cluster fits + CART), and the LOOCV
-// protocol — at 1, 2, 4 and 8 threads, prints the speedup table, checks
-// the determinism contract along the way (the serialized model must be
-// byte-identical at every thread count), and emits BENCH_train.json.
+// protocol — at 1, 2, 4 and 8 threads, prints the speedup table, emits
+// BENCH_train.json, and exits non-zero unless the determinism contract
+// holds (the serialized model is byte-identical at every thread count).
 //
 // Speedup is physical: on an N-core machine, thread counts past N buy
 // nothing. The JSON therefore records hardware_threads next to the
@@ -120,13 +120,9 @@ int main() {
   }
   table.print(std::cout, "offline pipeline wall time (standard suite)");
 
-  if (!identical) {
-    std::cout << "\nFAIL: serialized models differ across thread counts "
-                 "— the determinism contract is broken\n";
-    return 1;
-  }
-  std::cout << "\nDeterminism: serialized model byte-identical at every "
-               "thread count.\n";
+  bench::Gate gate;
+  gate.check(identical, "serialized model across thread counts", "differs",
+             "byte-identical: the determinism contract");
 
   const double headline = serial.total_s / results.back().total_s;
   std::cout << "Headline (8 threads): " << format_double(headline, 4)
@@ -147,5 +143,5 @@ int main() {
        << ",\n  \"headline\": {\"threads\": 8, \"speedup\": "
        << format_double(headline, 6) << ", \"target_speedup\": 2.0}\n}\n";
   std::cout << "Wrote BENCH_train.json\n";
-  return 0;
+  return gate.exit_code();
 }

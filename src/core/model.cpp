@@ -124,9 +124,4 @@ TrainedModel TrainedModel::load(const std::string& path) {
   return parse(buffer.str());
 }
 
-std::shared_ptr<const TrainedModel> TrainedModel::load_shared(
-    const std::string& path) {
-  return std::make_shared<const TrainedModel>(load(path));
-}
-
 }  // namespace acsel::core

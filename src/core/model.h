@@ -60,12 +60,6 @@ class TrainedModel final : public Predictor {
   static PredictorPtr parse_shared(std::uint32_t version,
                                    const std::string& body);
 
-  /// Compatibility shim (kept for one release): load() into shared
-  /// ownership. New code should call core::load_predictor(), which
-  /// dispatches on the envelope's kind tag instead of assuming this one.
-  static std::shared_ptr<const TrainedModel> load_shared(
-      const std::string& path);
-
  private:
   std::vector<ClusterModel> clusters_;
   stats::Cart tree_;

@@ -1,6 +1,5 @@
 // Process-wide metric registry: named counters, gauges and log-bucketed
-// histograms with relaxed-atomic hot paths. Generalizes the serving
-// layer's former private LatencyHistogram so every subsystem — the online
+// histograms with relaxed-atomic hot paths. Every subsystem — the online
 // runtime, the trainer, the serving layer — counts through one mechanism
 // and one snapshot/export path (text table, CSV, JSON, and the serve wire
 // protocol's StatsResponse all render the same MetricSnapshot rows).

@@ -197,8 +197,9 @@ void put_request_payload(std::vector<std::uint8_t>& out,
   put_record(out, request.samples.gpu);
 }
 
-SelectRequest read_request_payload(Reader& r) {
-  SelectRequest request;
+// Fills the payload fields of `request`; priority and fingerprint come
+// from the frame's header blocks, decoded before the payload.
+void read_request_payload(Reader& r, SelectRequest& request) {
   request.request_id = r.u64();
   request.model_version = r.u64();
   const std::uint8_t goal = r.u8();
@@ -218,7 +219,6 @@ SelectRequest read_request_payload(Reader& r) {
   request.deadline_ns = r.u64();
   request.samples.cpu = read_record(r);
   request.samples.gpu = read_record(r);
-  return request;
 }
 
 void put_response_payload(std::vector<std::uint8_t>& out,
@@ -649,8 +649,7 @@ Decoded decode_frame(std::span<const std::uint8_t> buffer,
       result.bytes_consumed = frame_size;
       return result;
     }
-    result.priority = static_cast<Priority>(priority);
-    result.has_priority = true;
+    result.request.priority = static_cast<Priority>(priority);
   }
   if (fingerprint_bytes != 0) {
     Reader block{buffer.subspan(kFrameHeaderBytes + trace_bytes +
@@ -665,7 +664,7 @@ Decoded decode_frame(std::span<const std::uint8_t> buffer,
       result.bytes_consumed = 0;
       return result;
     }
-    HardwareFingerprint& fp = result.fingerprint;
+    HardwareFingerprint& fp = result.request.fingerprint.emplace();
     fp.hash = block.u64();
     fp.cpu_cores = block.u32();
     fp.gpu_cores = block.u32();
@@ -685,7 +684,6 @@ Decoded decode_frame(std::span<const std::uint8_t> buffer,
       result.bytes_consumed = frame_size;
       return result;
     }
-    result.has_fingerprint = true;
   }
   Reader payload{buffer.subspan(
       kFrameHeaderBytes + trace_bytes + priority_bytes + fingerprint_bytes,
@@ -693,11 +691,7 @@ Decoded decode_frame(std::span<const std::uint8_t> buffer,
   try {
     switch (result.type) {
       case MessageType::SelectRequest:
-        result.request = read_request_payload(payload);
-        result.request.priority = result.priority;
-        if (result.has_fingerprint) {
-          result.request.fingerprint = result.fingerprint;
-        }
+        read_request_payload(payload, result.request);
         break;
       case MessageType::SelectResponse:
         result.response = read_response_payload(payload);

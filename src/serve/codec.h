@@ -136,19 +136,11 @@ struct Decoded {
   /// `has_trace` is false when the frame carried none.
   bool has_trace = false;
   obs::TraceContext trace;
-  /// Priority carried by the frame's priority block (flags bit 1); an
-  /// absent block decodes as Normal with `has_priority` false. For a
-  /// SelectRequest frame the value is also copied into
-  /// `request.priority`.
-  bool has_priority = false;
-  Priority priority = Priority::Normal;
-  /// Hardware fingerprint carried by the frame's fingerprint block (flags
-  /// bit 2); `has_fingerprint` is false when the frame carried none. For a
-  /// SelectRequest frame the value is also copied into
-  /// `request.fingerprint`.
-  bool has_fingerprint = false;
-  HardwareFingerprint fingerprint;
-  SelectRequest request;    ///< valid when status == Ok, type == SelectRequest
+  /// Valid when status == Ok, type == SelectRequest. The frame's priority
+  /// block (flags bit 1) decodes into `request.priority`, Normal when
+  /// absent; its fingerprint block (flags bit 2) into
+  /// `request.fingerprint`, nullopt when absent.
+  SelectRequest request;
   SelectResponse response;  ///< valid when status == Ok, type == SelectResponse
   StatsRequest stats_request;    ///< valid when Ok, type == StatsRequest
   StatsResponse stats_response;  ///< valid when Ok, type == StatsResponse

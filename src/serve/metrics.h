@@ -17,10 +17,6 @@
 
 namespace acsel::serve {
 
-/// The serving layer's latency histogram is the shared obs histogram
-/// (promoted out of this header; alias kept for source compatibility).
-using LatencyHistogram = obs::Histogram;
-
 /// Everything the server counts. One instance per Server, each with its
 /// own registry so two servers in one process never share rows.
 class ServerMetrics {
@@ -79,7 +75,7 @@ class ServerMetrics {
     double mean_batch = 0.0;  ///< completed requests per worker batch
     double qps = 0.0;         ///< completed / elapsed
     double elapsed_s = 0.0;   ///< since construction or last reset
-    LatencyHistogram::Snapshot latency;
+    obs::Histogram::Snapshot latency;
     std::size_t queue_depth = 0;  ///< sampled at snapshot time
   };
 

@@ -1,13 +1,19 @@
 // Tests for the online runtime: sample-iteration lifecycle, steady-state
-// scheduling, dynamic cap/goal changes, and per-context kernel identity.
+// scheduling, dynamic cap/goal changes, per-context kernel identity, and
+// the Chrome trace it records.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <sstream>
+#include <string>
 
 #include "core/runtime.h"
 #include "core/trainer.h"
 #include "eval/characterize.h"
 #include "hw/config_space.h"
+#include "obs/json.h"
+#include "obs/trace.h"
 #include "soc/machine.h"
 #include "util/error.h"
 #include "workloads/suite.h"
@@ -65,6 +71,35 @@ TEST_F(RuntimeTest, FirstTwoInvocationsAreSampleRuns) {
   EXPECT_EQ(second.config, space.gpu_sample());
   EXPECT_EQ(runtime.phase(key), OnlineRuntime::Phase::Scheduled);
 }
+
+#ifndef ACSEL_OBS_NO_TRACING
+TEST_F(RuntimeTest, ChromeTraceNamesTheOnlineStages) {
+  // One kernel past its two sample runs leaves a loadable Chrome trace
+  // naming each online step, with the machine's power counter alongside.
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.clear();
+  tracer.enable();
+  auto runtime = make_runtime();
+  for (int i = 0; i < 3; ++i) {
+    runtime.invoke(KernelKey{"lud", "main", 20},
+                   suite_->instance("LU-Large/lud"));
+  }
+  tracer.disable();
+  std::ostringstream out;
+  tracer.write_chrome_trace(out);
+  tracer.clear();
+
+  std::set<std::string> names;
+  const obs::JsonValue doc = obs::JsonValue::parse(out.str());
+  for (const obs::JsonValue& event : doc.at("traceEvents").items()) {
+    names.insert(event.at("name").as_string());
+  }
+  for (const char* required :
+       {"sample_cpu", "classify", "predict", "select", "machine.power_w"}) {
+    EXPECT_TRUE(names.contains(required)) << "missing " << required;
+  }
+}
+#endif
 
 TEST_F(RuntimeTest, SteadyStateUsesTheScheduledConfig) {
   auto runtime = make_runtime();

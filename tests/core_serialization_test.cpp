@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/predictor.h"
 #include "core/trainer.h"
 #include "eval/characterize.h"
 #include "hw/config_space.h"
@@ -143,17 +144,19 @@ TEST_F(SerializationTest, TruncatedFileFailsToLoad) {
     out << text.substr(0, text.size() / 3);
   }
   EXPECT_THROW(TrainedModel::load(path), Error);
-  EXPECT_THROW(TrainedModel::load_shared(path), Error);
+  EXPECT_THROW(load_predictor(path), Error);
 }
 
-TEST_F(SerializationTest, LoadSharedMatchesLoad) {
-  const std::string path = ::testing::TempDir() + "/acsel_shared_model.txt";
+TEST_F(SerializationTest, LoadPredictorMatchesLoad) {
+  const std::string path =
+      ::testing::TempDir() + "/acsel_predictor_model.txt";
   model_->save(path);
-  const auto shared = TrainedModel::load_shared(path);
-  ASSERT_NE(shared, nullptr);
-  EXPECT_EQ(shared->cluster_count(), model_->cluster_count());
+  const PredictorPtr loaded = load_predictor(path);
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_EQ(loaded->kind(), "cluster-cart");
+  EXPECT_EQ(loaded->cluster_count(), model_->cluster_count());
   const auto& samples = (*characterizations_)[0].samples;
-  EXPECT_EQ(shared->classify(samples), model_->classify(samples));
+  EXPECT_EQ(loaded->classify(samples), model_->classify(samples));
 }
 
 }  // namespace

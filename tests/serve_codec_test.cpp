@@ -953,8 +953,6 @@ TEST(ServeCodec, PriorityBlockRoundTripsHighAndLow) {
 
     const Decoded decoded = decode_frame(bytes);
     ASSERT_EQ(decoded.status, DecodeStatus::Ok);
-    EXPECT_TRUE(decoded.has_priority);
-    EXPECT_EQ(decoded.priority, priority);
     EXPECT_EQ(decoded.request.priority, priority);
   }
 }
@@ -974,7 +972,6 @@ TEST(ServeCodec, NormalPriorityOmitsTheBlockByteIdentically) {
 
   const Decoded decoded = decode_frame(with_normal);
   ASSERT_EQ(decoded.status, DecodeStatus::Ok);
-  EXPECT_FALSE(decoded.has_priority);
   EXPECT_EQ(decoded.request.priority, Priority::Normal);
   // Flags bit 1 (priority) is clear on the wire.
   const std::uint16_t flags = static_cast<std::uint16_t>(
@@ -1009,7 +1006,6 @@ TEST(ServeCodec, PriorityBlockCoexistsWithATraceBlock) {
   ASSERT_EQ(decoded.status, DecodeStatus::Ok);
   EXPECT_TRUE(decoded.has_trace);
   EXPECT_EQ(decoded.trace.trace_id, 0x1111u);
-  EXPECT_TRUE(decoded.has_priority);
   EXPECT_EQ(decoded.request.priority, Priority::Low);
 }
 
@@ -1034,18 +1030,15 @@ TEST(ServeCodec, FingerprintBlockRoundTripsOnRequestFrames) {
   encode_request(request, bytes);
   const Decoded decoded = decode_frame(bytes);
   ASSERT_EQ(decoded.status, DecodeStatus::Ok);
-  ASSERT_TRUE(decoded.has_fingerprint);
-  EXPECT_EQ(decoded.fingerprint.hash, request.fingerprint->hash);
-  EXPECT_EQ(decoded.fingerprint.cpu_cores, request.fingerprint->cpu_cores);
-  EXPECT_EQ(decoded.fingerprint.gpu_cores, request.fingerprint->gpu_cores);
-  EXPECT_EQ(decoded.fingerprint.cpu_peak_ghz,
-            request.fingerprint->cpu_peak_ghz);
-  EXPECT_EQ(decoded.fingerprint.gpu_peak_mhz,
-            request.fingerprint->gpu_peak_mhz);
-  EXPECT_EQ(decoded.fingerprint.idle_power_w,
-            request.fingerprint->idle_power_w);
-  EXPECT_EQ(decoded.fingerprint.peak_power_w,
-            request.fingerprint->peak_power_w);
+  ASSERT_TRUE(decoded.request.fingerprint.has_value());
+  const HardwareFingerprint& fp = *decoded.request.fingerprint;
+  EXPECT_EQ(fp.hash, request.fingerprint->hash);
+  EXPECT_EQ(fp.cpu_cores, request.fingerprint->cpu_cores);
+  EXPECT_EQ(fp.gpu_cores, request.fingerprint->gpu_cores);
+  EXPECT_EQ(fp.cpu_peak_ghz, request.fingerprint->cpu_peak_ghz);
+  EXPECT_EQ(fp.gpu_peak_mhz, request.fingerprint->gpu_peak_mhz);
+  EXPECT_EQ(fp.idle_power_w, request.fingerprint->idle_power_w);
+  EXPECT_EQ(fp.peak_power_w, request.fingerprint->peak_power_w);
   // The flag costs exactly the fingerprint block.
   std::vector<std::uint8_t> unkeyed;
   encode_request(make_request(), unkeyed);
@@ -1060,7 +1053,6 @@ TEST(ServeCodec, FingerprintlessFramesAreByteIdenticalToLegacy) {
   EXPECT_EQ(bytes[6] & 0x04, 0);  // flags bit 2 unset
   const Decoded decoded = decode_frame(bytes);
   ASSERT_EQ(decoded.status, DecodeStatus::Ok);
-  EXPECT_FALSE(decoded.has_fingerprint);
   EXPECT_FALSE(decoded.request.fingerprint.has_value());
 }
 
@@ -1145,10 +1137,7 @@ TEST(ServeCodec, FingerprintCoexistsWithTraceAndPriorityBlocks) {
   ASSERT_EQ(decoded.status, DecodeStatus::Ok);
   EXPECT_TRUE(decoded.has_trace);
   EXPECT_EQ(decoded.trace.trace_id, 0x7777u);
-  EXPECT_TRUE(decoded.has_priority);
   EXPECT_EQ(decoded.request.priority, Priority::High);
-  ASSERT_TRUE(decoded.has_fingerprint);
-  EXPECT_EQ(decoded.fingerprint.hash, request.fingerprint->hash);
   ASSERT_TRUE(decoded.request.fingerprint.has_value());
   EXPECT_EQ(decoded.request.fingerprint->hash, request.fingerprint->hash);
 }
@@ -1163,11 +1152,11 @@ TEST(ServeCodec, KeyedAndUnkeyedFramesInterleaveInOneStream) {
   std::span<const std::uint8_t> cursor{stream};
   const Decoded a = decode_frame(cursor);
   ASSERT_EQ(a.status, DecodeStatus::Ok);
-  EXPECT_TRUE(a.has_fingerprint);
+  EXPECT_TRUE(a.request.fingerprint.has_value());
   EXPECT_EQ(a.bytes_consumed, first);
   const Decoded b = decode_frame(cursor.subspan(a.bytes_consumed));
   ASSERT_EQ(b.status, DecodeStatus::Ok);
-  EXPECT_FALSE(b.has_fingerprint);
+  EXPECT_FALSE(b.request.fingerprint.has_value());
   EXPECT_EQ(a.bytes_consumed + b.bytes_consumed, stream.size());
 }
 

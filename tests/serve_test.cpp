@@ -17,6 +17,7 @@
 
 #include "core/trainer.h"
 #include "eval/characterize.h"
+#include "obs/metrics.h"
 #include "serve/codec.h"
 #include "serve/queue.h"
 #include "serve/server.h"
@@ -222,18 +223,17 @@ TEST(ServeMetrics, HistogramBucketBoundsContainSamples) {
   for (const std::uint64_t nanos :
        {0ull, 1ull, 3ull, 4ull, 7ull, 100ull, 999ull, 1000ull, 123456ull,
         1000000ull, 987654321ull}) {
-    const std::size_t bucket = LatencyHistogram::bucket_of(nanos);
-    EXPECT_LE(nanos, LatencyHistogram::bucket_upper_nanos(bucket))
-        << nanos;
-    if (bucket + 1 < LatencyHistogram::kBuckets) {
-      EXPECT_LT(LatencyHistogram::bucket_upper_nanos(bucket),
-                LatencyHistogram::bucket_upper_nanos(bucket + 1));
+    const std::size_t bucket = obs::Histogram::bucket_of(nanos);
+    EXPECT_LE(nanos, obs::Histogram::bucket_upper_nanos(bucket)) << nanos;
+    if (bucket + 1 < obs::Histogram::kBuckets) {
+      EXPECT_LT(obs::Histogram::bucket_upper_nanos(bucket),
+                obs::Histogram::bucket_upper_nanos(bucket + 1));
     }
   }
 }
 
 TEST(ServeMetrics, HistogramQuantilesAreOrderedAndTight) {
-  LatencyHistogram histogram;
+  obs::Histogram histogram;
   for (int i = 0; i < 99; ++i) {
     histogram.record(1000);  // ~1 us
   }
