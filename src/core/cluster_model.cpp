@@ -1,31 +1,11 @@
 #include "core/cluster_model.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "util/error.h"
 #include "util/strings.h"
 
 namespace acsel::core {
-
-ClusterModel::Estimate ClusterModel::predict(
-    const hw::Configuration& config, const SamplePair& samples) const {
-  Estimate estimate;
-
-  const auto pf = power_features(config, samples);
-  estimate.power_w = std::max(1.0, power.predict(pf));
-  estimate.power_sigma = power.residual_stddev();
-
-  const auto xf = perf_features(config);
-  const bool on_gpu = config.device == hw::Device::Gpu;
-  const linalg::LinearModel& perf_model = on_gpu ? perf_gpu : perf_cpu;
-  const double s_perf = on_gpu ? samples.gpu.performance()
-                               : samples.cpu.performance();
-  const double ratio = std::max(1e-6, perf_model.predict(xf));
-  estimate.performance = ratio * s_perf;
-  estimate.performance_sigma = perf_model.residual_stddev() * s_perf;
-  return estimate;
-}
 
 std::string ClusterModel::serialize() const {
   std::ostringstream os;

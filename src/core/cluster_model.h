@@ -5,13 +5,15 @@
 //   P_power = b0 + b1 x1 + ... + bn xn          (absolute watts)
 // Once a kernel is assigned to a cluster, the only new information needed
 // to predict every configuration is its two sample measurements.
+//
+// ClusterModel is only the serialized trio of fitted regressions. The
+// online evaluation lives in TrainedModel, which folds every term that
+// does not depend on the samples into a per-(cluster, configuration)
+// table when it is constructed (see core/model.h).
 #pragma once
 
 #include <string>
 
-#include "core/characterization.h"
-#include "core/features.h"
-#include "core/predictor.h"
 #include "linalg/regression.h"
 
 namespace acsel::core {
@@ -20,14 +22,6 @@ struct ClusterModel {
   linalg::LinearModel power;     ///< watts, with intercept
   linalg::LinearModel perf_cpu;  ///< perf / S_perf_cpu over CPU configs
   linalg::LinearModel perf_gpu;  ///< perf / S_perf_gpu over GPU configs
-
-  /// The shared per-configuration estimate type; this model fills the
-  /// sigmas with the regressions' residual scale (§VI).
-  using Estimate = core::Estimate;
-
-  /// Predicts power and performance of `samples`' kernel at `config`.
-  Estimate predict(const hw::Configuration& config,
-                   const SamplePair& samples) const;
 
   /// One-line-per-model serialization; round-trips through parse().
   std::string serialize() const;

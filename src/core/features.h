@@ -26,6 +26,9 @@ namespace acsel::core {
 /// device indicator, normalized CPU frequency / thread count / GPU
 /// frequency, mapping, first-order interactions, and the kernel's measured
 /// sample powers (both domains' totals at each sample configuration).
+/// Terms 0-7 depend on the configuration only; terms 8-11 are the two
+/// scaled sample powers and their device-gated copies. TrainedModel
+/// relies on that split to fold terms 0-7 into a table.
 std::vector<double> power_features(const hw::Configuration& config,
                                    const SamplePair& samples);
 const std::vector<std::string>& power_feature_names();

@@ -4,6 +4,15 @@
 // cluster, predicts power and performance for every configuration, and
 // derives the predicted Pareto frontier the scheduler walks (§III-C).
 //
+// Everything in an estimate that does not depend on the request is
+// computed once, at construction (train() and both parse paths construct
+// through the same constructor): one table row per (cluster,
+// configuration) holds the partial sum of the eight configuration-only
+// power terms, the device indicator, and the performance ratio. predict()
+// then costs a classification and four multiply-adds per configuration —
+// §IV-C's "simple matrix-vector product" — and answers bitwise what
+// evaluating the cluster's regressions on the full feature rows would.
+//
 // TrainedModel is the first — and the paper's — implementation of the
 // core::Predictor interface; consumers hold it as PredictorPtr and only
 // tests and the trainer name the concrete type.
@@ -44,8 +53,8 @@ class TrainedModel final : public Predictor {
   /// first online step; tree application costs O(depth), §IV-C).
   std::size_t classify(const SamplePair& samples) const override;
 
-  /// Full online prediction: classify, then apply the cluster's models at
-  /// every configuration — "a simple matrix-vector product" (§IV-C).
+  /// Full online prediction: classify, then apply the cluster's table
+  /// rows to the two sample powers at every configuration.
   Prediction predict(const SamplePair& samples) const override;
 
   std::string serialize_body() const override;
@@ -61,9 +70,22 @@ class TrainedModel final : public Predictor {
                                    const std::string& body);
 
  private:
+  /// The request-independent part of one (cluster, configuration)
+  /// estimate. Power is intercept + dot(slopes, power_features); the dot's
+  /// eight configuration-only terms are folded into `power_partial` in its
+  /// left-to-right order, and predict() adds the four sample terms after
+  /// them in the same order.
+  struct Row {
+    double power_partial = 0.0;
+    double dev = 0.0;         ///< 1 on GPU configurations, else 0
+    double perf_ratio = 0.0;  ///< max(1e-6, perf model at the config)
+  };
+
   std::vector<ClusterModel> clusters_;
   stats::Cart tree_;
   hw::ConfigSpace space_;
+  /// cluster_count() x config_space().size(), cluster-major.
+  std::vector<Row> table_;
 };
 
 /// Wraps a concrete model into the shared-ownership interface form every

@@ -27,6 +27,12 @@ std::uint64_t Histogram::bucket_upper_nanos(std::size_t bucket) {
   if (bucket < 4) {
     return bucket;
   }
+  if (bucket < 8) {
+    // Octave 1 would hold 2..3, which buckets 0..3 already take, so
+    // bucket_of never returns 4..7. They stay empty; giving them bucket
+    // 8's bound keeps the bounds monotone (and the shift below defined).
+    return 4;
+  }
   const std::uint64_t octave = bucket / 4;
   const std::uint64_t sub = bucket % 4;
   // Largest value whose top bits are (1, sub): next quarter boundary - 1.

@@ -1,7 +1,5 @@
 #include "pareto/frontier.h"
 
-#include <algorithm>
-
 #include "util/error.h"
 
 namespace acsel::pareto {
@@ -16,30 +14,45 @@ ParetoFrontier ParetoFrontier::build(std::span<const double> power_w,
                     "frontier inputs must be positive");
   }
 
-  // Sort candidate indices by (power asc, performance desc, index asc);
-  // then a single sweep keeps points with strictly increasing performance.
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    order[i] = i;
-  }
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (power_w[a] != power_w[b]) {
-      return power_w[a] < power_w[b];
+  // Insertion-sort the points by (power asc, performance desc, index
+  // asc) in place: for a configuration space's few dozen points it beats
+  // std::sort's partitioning. The order is strict and total, so the
+  // sequence is the one any sort yields. A single sweep then keeps points
+  // with strictly increasing performance, compacted to the front.
+  const auto before = [](const FrontierPoint& a, const FrontierPoint& b) {
+    if (a.power_w != b.power_w) {
+      return a.power_w < b.power_w;
     }
-    if (performance[a] != performance[b]) {
-      return performance[a] > performance[b];
+    if (a.performance != b.performance) {
+      return a.performance > b.performance;
     }
-    return a < b;
-  });
-
+    return a.config_index < b.config_index;
+  };
   ParetoFrontier frontier;
+  std::vector<FrontierPoint>& points = frontier.points_;
+  points.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const FrontierPoint point{i, power_w[i], performance[i]};
+    points.push_back(point);
+    std::size_t j = i;
+    for (; j > 0 && before(point, points[j - 1]); --j) {
+      points[j] = points[j - 1];
+    }
+    points[j] = point;
+  }
+
+  std::size_t kept = 0;
   double best_perf = 0.0;
-  for (const std::size_t i : order) {
-    if (performance[i] > best_perf) {
-      frontier.points_.push_back({i, power_w[i], performance[i]});
-      best_perf = performance[i];
+  for (std::size_t i = 0; i < n; ++i) {
+    if (points[i].performance > best_perf) {
+      best_perf = points[i].performance;
+      points[kept++] = points[i];
     }
   }
+  // Callers keep frontiers (a runtime retains one per tracked kernel),
+  // so drop the spare capacity rather than hold n points for each.
+  points.resize(kept);
+  points.shrink_to_fit();
   return frontier;
 }
 

@@ -3,10 +3,15 @@
 // serialization. One shared characterization pass keeps the suite fast.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "core/features.h"
 #include "core/trainer.h"
 #include "eval/characterize.h"
 #include "hw/config_space.h"
@@ -184,6 +189,108 @@ TEST_F(ModelTest, SerializeParseRoundTripsPredictions) {
     EXPECT_DOUBLE_EQ(a.per_config[i].power_w, b.per_config[i].power_w);
     EXPECT_DOUBLE_EQ(a.per_config[i].performance,
                      b.per_config[i].performance);
+  }
+}
+
+// Reference evaluation of one prediction straight from the cluster's
+// regressions: full feature rows through LinearModel::predict, then a
+// std::sort-based frontier under the (power asc, perf desc, index asc)
+// order.
+struct ReferencePrediction {
+  std::size_t cluster = 0;
+  std::vector<Estimate> per_config;
+  std::vector<pareto::FrontierPoint> frontier;
+};
+
+ReferencePrediction reference_predict(const TrainedModel& model,
+                                      const SamplePair& samples) {
+  ReferencePrediction out;
+  out.cluster = model.classify(samples);
+  const ClusterModel& cluster = model.cluster(out.cluster);
+  const hw::ConfigSpace& space = model.config_space();
+  for (std::size_t i = 0; i < space.size(); ++i) {
+    const hw::Configuration& config = space.at(i);
+    const bool on_gpu = config.device == hw::Device::Gpu;
+    const linalg::LinearModel& perf_model =
+        on_gpu ? cluster.perf_gpu : cluster.perf_cpu;
+    const double s_perf =
+        on_gpu ? samples.gpu.performance() : samples.cpu.performance();
+    Estimate estimate;
+    estimate.power_w =
+        std::max(1.0, cluster.power.predict(power_features(config, samples)));
+    estimate.power_sigma = cluster.power.residual_stddev();
+    estimate.performance =
+        std::max(1e-6, perf_model.predict(perf_features(config))) * s_perf;
+    estimate.performance_sigma = perf_model.residual_stddev() * s_perf;
+    out.per_config.push_back(estimate);
+  }
+  const auto& est = out.per_config;
+  std::vector<std::size_t> order(est.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    order[i] = i;
+  }
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (est[a].power_w != est[b].power_w) {
+      return est[a].power_w < est[b].power_w;
+    }
+    if (est[a].performance != est[b].performance) {
+      return est[a].performance > est[b].performance;
+    }
+    return a < b;
+  });
+  double best = 0.0;
+  for (const std::size_t i : order) {
+    if (est[i].performance > best) {
+      out.frontier.push_back({i, est[i].power_w, est[i].performance});
+      best = est[i].performance;
+    }
+  }
+  return out;
+}
+
+void expect_matches_reference_bitwise(
+    const TrainedModel& model,
+    const std::vector<KernelCharacterization>& characterizations,
+    const std::string& label) {
+  for (const auto& c : characterizations) {
+    const Prediction got = model.predict(c.samples);
+    const ReferencePrediction want = reference_predict(model, c.samples);
+    ASSERT_EQ(got.cluster, want.cluster) << label << ' ' << c.instance_id;
+    ASSERT_EQ(got.per_config.size(), want.per_config.size());
+    for (std::size_t i = 0; i < want.per_config.size(); ++i) {
+      EXPECT_EQ(std::memcmp(&got.per_config[i], &want.per_config[i],
+                            sizeof(Estimate)),
+                0)
+          << label << ' ' << c.instance_id << " config " << i;
+    }
+    ASSERT_EQ(got.frontier.size(), want.frontier.size())
+        << label << ' ' << c.instance_id;
+    for (std::size_t p = 0; p < want.frontier.size(); ++p) {
+      EXPECT_EQ(std::memcmp(&got.frontier.points()[p], &want.frontier[p],
+                            sizeof(pareto::FrontierPoint)),
+                0)
+          << label << ' ' << c.instance_id << " frontier point " << p;
+    }
+  }
+}
+
+TEST_F(ModelTest, PredictMatchesRegressionsBitwise) {
+  // predict() reads a table precomputed at construction; it must answer
+  // every suite kernel exactly as the regressions evaluated on full
+  // feature rows do, for both response transforms and for trained and
+  // parsed models alike.
+  ASSERT_EQ(model_->cluster(0).power.options().transform,
+            linalg::ResponseTransform::Identity);
+  TrainerOptions log1p;
+  log1p.transform = linalg::ResponseTransform::Log1p;
+  const TrainedModel log1p_model = train(*characterizations_, log1p).model;
+  for (const TrainedModel* model :
+       {static_cast<const TrainedModel*>(model_), &log1p_model}) {
+    const std::string label = model == model_ ? "identity" : "log1p";
+    expect_matches_reference_bitwise(*model, *characterizations_,
+                                     label + " trained");
+    expect_matches_reference_bitwise(TrainedModel::parse(model->serialize()),
+                                     *characterizations_, label + " parsed");
   }
 }
 

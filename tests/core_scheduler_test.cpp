@@ -16,7 +16,7 @@ Prediction make_prediction(double sigma = 0.0) {
   const double power[] = {10.0, 15.0, 25.0, 26.0};
   const double perf[] = {1.0, 2.0, 3.0, 2.5};
   for (std::size_t i = 0; i < 4; ++i) {
-    ClusterModel::Estimate e;
+    Estimate e;
     e.power_w = power[i];
     e.performance = perf[i];
     e.power_sigma = sigma;

@@ -135,6 +135,28 @@ TEST_F(SerializationTest, CorruptInputIsRejected) {
   }
 }
 
+TEST_F(SerializationTest, WrongFeatureCountIsRejectedAtParse) {
+  // A regression line with one slope too few parses as a LinearModel, but
+  // the model's per-configuration table cannot be built from it: parsing
+  // must throw, not read past the coefficients at predict time.
+  const std::string text = model_->serialize();
+  const auto drop_last_slope = [&](std::size_t line_index) {
+    std::vector<std::string> lines = split(text, '\n');
+    auto fields = split(lines[line_index], ' ');
+    fields[7] = std::to_string(parse_size(fields[7]) - 1);
+    fields.pop_back();
+    lines[line_index] = join(fields, " ");
+    return join(lines, "\n");
+  };
+  // Line 0 is the envelope, line 1 the cluster count, then each cluster's
+  // power, perf_cpu and perf_gpu lines.
+  for (const std::size_t line : {2u, 3u, 4u, 5u}) {
+    const std::string bad = drop_last_slope(line);
+    EXPECT_THROW(parse_predictor(bad), Error) << "line " << line;
+    EXPECT_THROW(TrainedModel::parse(bad), Error) << "line " << line;
+  }
+}
+
 TEST_F(SerializationTest, TruncatedFileFailsToLoad) {
   const std::string path =
       ::testing::TempDir() + "/acsel_truncated_model.txt";

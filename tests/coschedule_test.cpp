@@ -268,7 +268,7 @@ core::Prediction synthetic_prediction() {
   const double power[] = {10.0, 15.0, 25.0};
   const double perf[] = {1.0, 2.0, 3.0};
   for (std::size_t i = 0; i < 3; ++i) {
-    core::ClusterModel::Estimate e;
+    core::Estimate e;
     e.power_w = power[i];
     e.performance = perf[i];
     prediction.per_config.push_back(e);

@@ -19,7 +19,7 @@ namespace {
 core::Prediction perfect_prediction(const Oracle& oracle) {
   core::Prediction prediction;
   for (std::size_t i = 0; i < oracle.power_w.size(); ++i) {
-    core::ClusterModel::Estimate e;
+    core::Estimate e;
     e.power_w = oracle.power_w[i];
     e.performance = oracle.performance[i];
     prediction.per_config.push_back(e);

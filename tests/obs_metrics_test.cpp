@@ -37,6 +37,26 @@ TEST(Histogram, MergeAddsCountsAndTakesMax) {
   EXPECT_DOUBLE_EQ(snap.p99_us, c.snapshot().p99_us);
 }
 
+TEST(Histogram, BucketUpperBoundsAreMonotone) {
+  // Every bucket has a defined bound, the bounds never decrease, and they
+  // strictly increase across the buckets bucket_of can return.
+  for (std::size_t b = 1; b < Histogram::kBuckets; ++b) {
+    EXPECT_LE(Histogram::bucket_upper_nanos(b - 1),
+              Histogram::bucket_upper_nanos(b))
+        << "bucket " << b;
+  }
+  // A populated bucket's bound is the largest sample that lands in it.
+  for (std::uint64_t nanos = 1; nanos < 4096; ++nanos) {
+    const std::size_t b = Histogram::bucket_of(nanos);
+    const std::size_t prev = Histogram::bucket_of(nanos - 1);
+    EXPECT_LE(nanos, Histogram::bucket_upper_nanos(b)) << nanos;
+    if (b != prev) {
+      EXPECT_GT(b, prev) << nanos;
+      EXPECT_EQ(nanos - 1, Histogram::bucket_upper_nanos(prev)) << nanos;
+    }
+  }
+}
+
 TEST(Histogram, MergeOfEmptyIsIdentity) {
   Histogram a;
   a.record(4096);

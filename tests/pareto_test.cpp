@@ -1,6 +1,7 @@
 // Tests for Pareto frontier construction and frontier-order dissimilarity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "pareto/dissimilarity.h"
@@ -120,6 +121,76 @@ TEST(Frontier, EmptyFrontierAccessorsThrow) {
   const ParetoFrontier frontier;
   EXPECT_THROW(frontier.best_under(10.0), Error);
   EXPECT_THROW(frontier.lowest_power(), Error);
+}
+
+// Reference construction: std::sort over all indices under the documented
+// (power asc, performance desc, index asc) order, then the
+// strictly-increasing-performance sweep.
+std::vector<FrontierPoint> reference_frontier(const std::vector<double>& power,
+                                              const std::vector<double>& perf) {
+  std::vector<std::size_t> order(power.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    order[i] = i;
+  }
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (power[a] != power[b]) {
+      return power[a] < power[b];
+    }
+    if (perf[a] != perf[b]) {
+      return perf[a] > perf[b];
+    }
+    return a < b;
+  });
+  std::vector<FrontierPoint> points;
+  double best = 0.0;
+  for (const std::size_t i : order) {
+    if (perf[i] > best) {
+      points.push_back({i, power[i], perf[i]});
+      best = perf[i];
+    }
+  }
+  return points;
+}
+
+TEST(Frontier, MatchesSortAndSweepReferenceWithTies) {
+  // 54 is the configuration space; the larger sizes exercise the
+  // insertion sort well past any caller's input. Drawing values from a
+  // pool of a few distinct levels forces exact ties in power, in
+  // performance, or in both.
+  enum class Ties { None, Power, Performance, Both };
+  Rng rng{2024};
+  for (const std::size_t n : {1u, 2u, 3u, 54u, 63u, 64u, 65u, 200u}) {
+    for (const Ties ties :
+         {Ties::None, Ties::Power, Ties::Performance, Ties::Both}) {
+      for (int trial = 0; trial < 5; ++trial) {
+        const auto draw = [&](bool tied, double lo, double hi) {
+          if (!tied) {
+            return rng.uniform(lo, hi);
+          }
+          const auto level = static_cast<double>(rng.uniform_index(4));
+          return lo + (hi - lo) * (level + 1.0) / 5.0;
+        };
+        std::vector<double> power(n);
+        std::vector<double> perf(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          power[i] = draw(ties == Ties::Power || ties == Ties::Both, 5.0,
+                          50.0);
+          perf[i] = draw(ties == Ties::Performance || ties == Ties::Both,
+                         0.1, 10.0);
+        }
+        const auto frontier = make(power, perf);
+        const auto expected = reference_frontier(power, perf);
+        ASSERT_EQ(frontier.size(), expected.size()) << "n=" << n;
+        for (std::size_t p = 0; p < expected.size(); ++p) {
+          const FrontierPoint& got = frontier.points()[p];
+          EXPECT_EQ(got.config_index, expected[p].config_index)
+              << "n=" << n << " point " << p;
+          EXPECT_EQ(got.power_w, expected[p].power_w);
+          EXPECT_EQ(got.performance, expected[p].performance);
+        }
+      }
+    }
+  }
 }
 
 // -------------------------------------------------------- dissimilarity --
