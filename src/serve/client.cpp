@@ -97,6 +97,45 @@ void Client::wait(std::chrono::microseconds delay) {
   }
 }
 
+template <typename Response, typename Encode>
+Response Client::call(std::uint64_t request_id, MessageType reply_type,
+                      Response Decoded::*answer, const Encode& encode) {
+  deposit_retry_tokens();
+  Response last;
+  last.request_id = request_id;
+  last.status = ResponseStatus::MalformedRequest;
+  for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
+    if (attempt > 0) {
+      if (!spend_retry_token()) {
+        // Bucket dry: a fleet under brownout must see its shed wave die
+        // out, not come back amplified by backoff retries.
+        ACSEL_LOG_DEBUG("client: retry budget exhausted; returning "
+                        << to_string(last.status));
+        return last;
+      }
+      ++retries_;
+      wait(backoff_delay(attempt - 1));
+    }
+    std::vector<std::uint8_t> frame;
+    const obs::TraceContext ctx = obs::current_trace_context();
+    encode(frame, ctx.active() ? &ctx : nullptr);
+    const std::vector<std::uint8_t> reply = transport_(frame);
+    const Decoded decoded = decode_frame(reply);
+    if (decoded.status != DecodeStatus::Ok || decoded.type != reply_type) {
+      ACSEL_LOG_DEBUG("client: undecodable reply (attempt " << attempt
+                                                            << "); retrying");
+      continue;
+    }
+    last = decoded.*answer;
+    if (conclusive(last.status)) {
+      return last;
+    }
+    ACSEL_LOG_DEBUG("client: transient " << to_string(last.status)
+                                         << " (attempt " << attempt << ")");
+  }
+  return last;
+}
+
 SelectResponse Client::select(const SelectRequest& request) {
   // Root a deterministic trace when sampling selects this request and no
   // trace is already in progress; a caller's active trace is joined
@@ -114,74 +153,24 @@ SelectResponse Client::select(const SelectRequest& request) {
   }
   const obs::ScopedTraceContext rooted{root};
   ACSEL_OBS_SPAN("client.select", "client");
-  deposit_retry_tokens();
-  SelectResponse last;
-  last.request_id = request.request_id;
-  last.status = ResponseStatus::MalformedRequest;
-  for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      if (!spend_retry_token()) {
-        // Bucket dry: a fleet under brownout must see its shed wave die
-        // out, not come back amplified by backoff retries.
-        ACSEL_LOG_DEBUG("client: retry budget exhausted; returning "
-                        << to_string(last.status));
-        return last;
-      }
-      ++retries_;
-      wait(backoff_delay(attempt - 1));
-    }
-    std::vector<std::uint8_t> frame;
-    const obs::TraceContext ctx = obs::current_trace_context();
-    encode_request(request, frame, ctx.active() ? &ctx : nullptr);
-    if (ACSEL_FAULT_ARMED() && ACSEL_FAULT_FIRE("wire.corrupt")) {
-      frame[0] ^= 0xff;  // ruin the magic: the server sees BadMagic
-    }
-    const std::vector<std::uint8_t> reply = transport_(frame);
-    const Decoded decoded = decode_frame(reply);
-    if (decoded.status != DecodeStatus::Ok ||
-        decoded.type != MessageType::SelectResponse) {
-      ACSEL_LOG_DEBUG("client: undecodable reply (attempt " << attempt
-                                                            << "); retrying");
-      continue;
-    }
-    last = decoded.response;
-    if (conclusive(last.status)) {
-      return last;
-    }
-    ACSEL_LOG_DEBUG("client: transient " << to_string(last.status)
-                                         << " (attempt " << attempt << ")");
-  }
-  return last;
+  return call(request.request_id, MessageType::SelectResponse,
+              &Decoded::response,
+              [&request](std::vector<std::uint8_t>& frame,
+                         const obs::TraceContext* trace) {
+                encode_request(request, frame, trace);
+                if (ACSEL_FAULT_ARMED() && ACSEL_FAULT_FIRE("wire.corrupt")) {
+                  frame[0] ^= 0xff;  // ruin the magic: the server sees BadMagic
+                }
+              });
 }
 
 StatsResponse Client::stats(const StatsRequest& request) {
-  deposit_retry_tokens();
-  StatsResponse last;
-  last.request_id = request.request_id;
-  last.status = ResponseStatus::MalformedRequest;
-  for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      if (!spend_retry_token()) {
-        return last;
-      }
-      ++retries_;
-      wait(backoff_delay(attempt - 1));
-    }
-    std::vector<std::uint8_t> frame;
-    const obs::TraceContext ctx = obs::current_trace_context();
-    encode_stats_request(request, frame, ctx.active() ? &ctx : nullptr);
-    const std::vector<std::uint8_t> reply = transport_(frame);
-    const Decoded decoded = decode_frame(reply);
-    if (decoded.status != DecodeStatus::Ok ||
-        decoded.type != MessageType::StatsResponse) {
-      continue;
-    }
-    last = decoded.stats_response;
-    if (conclusive(last.status)) {
-      return last;
-    }
-  }
-  return last;
+  return call(request.request_id, MessageType::StatsResponse,
+              &Decoded::stats_response,
+              [&request](std::vector<std::uint8_t>& frame,
+                         const obs::TraceContext* trace) {
+                encode_stats_request(request, frame, trace);
+              });
 }
 
 }  // namespace acsel::serve

@@ -99,6 +99,12 @@ class Client {
   bool spend_retry_token();
   std::chrono::microseconds backoff_delay(int attempt);
   void wait(std::chrono::microseconds delay);
+  /// The retry loop behind select() and stats(): per attempt, `encode`s
+  /// a frame under the current trace context, sends it, and settles on
+  /// the first conclusive `answer` of a `reply_type` reply.
+  template <typename Response, typename Encode>
+  Response call(std::uint64_t request_id, MessageType reply_type,
+                Response Decoded::*answer, const Encode& encode);
 
   Transport transport_;
   ClientOptions options_;

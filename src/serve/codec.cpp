@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "util/error.h"
@@ -46,6 +47,15 @@ void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
   out.insert(out.end(), s.begin(), s.end());
 }
 
+/// Overwrites the `width`-byte little-endian field at `at`: a length that
+/// is known only once what it measures has been written.
+void patch(std::vector<std::uint8_t>& out, std::size_t at, std::size_t v,
+           std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) {
+    out[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
 // ---- primitive readers --------------------------------------------------
 
 /// Internal decode failure; caught at the frame boundary and mapped to
@@ -59,6 +69,15 @@ class Reader {
   std::uint8_t u8() {
     need(1);
     return data_[pos_++];
+  }
+
+  /// A 0/1 byte; any other value is not something an encoder writes.
+  bool boolean() {
+    const std::uint8_t v = u8();
+    if (v > 1) {
+      throw PayloadError{};
+    }
+    return v == 1;
   }
 
   std::uint16_t u16() {
@@ -100,12 +119,16 @@ class Reader {
     return v;
   }
 
-  std::string string() {
-    const std::uint16_t n = u16();
+  std::span<const std::uint8_t> bytes(std::size_t n) {
     need(n);
-    std::string s{reinterpret_cast<const char*>(data_.data() + pos_), n};
+    const std::span<const std::uint8_t> s = data_.subspan(pos_, n);
     pos_ += n;
     return s;
+  }
+
+  std::string string() {
+    const std::span<const std::uint8_t> s = bytes(u16());
+    return {reinterpret_cast<const char*>(s.data()), s.size()};
   }
 
   bool exhausted() const { return pos_ == data_.size(); }
@@ -151,20 +174,12 @@ profile::KernelRecord read_record(Reader& r) {
   record.benchmark = r.string();
   record.input = r.string();
   record.kernel = r.string();
-  const std::uint8_t device = r.u8();
-  if (device > 1) {
-    throw PayloadError{};
-  }
-  record.config.device = device == 1 ? hw::Device::Gpu : hw::Device::Cpu;
+  record.config.device = r.boolean() ? hw::Device::Gpu : hw::Device::Cpu;
   record.config.cpu_pstate = r.u8();
   record.config.threads = r.u8();
   record.config.gpu_pstate = r.u8();
-  const std::uint8_t mapping = r.u8();
-  if (mapping > 1) {
-    throw PayloadError{};
-  }
   record.config.mapping =
-      mapping == 1 ? hw::CoreMapping::Scatter : hw::CoreMapping::Compact;
+      r.boolean() ? hw::CoreMapping::Scatter : hw::CoreMapping::Compact;
   try {
     record.config.validate();
   } catch (const Error&) {
@@ -185,6 +200,28 @@ profile::KernelRecord read_record(Reader& r) {
   return record;
 }
 
+// Goal and optional cap, shared by SelectRequest and FeedbackRequest. A
+// cap that is present must be finite and positive, the scheduler's own
+// precondition: refused here, a bad cap can neither throw inside a worker
+// (charged to the circuit breaker) nor be served as uncapped.
+void read_goal_and_cap(Reader& r, core::SchedulingGoal& goal,
+                       std::optional<double>& cap_w) {
+  const std::uint8_t raw_goal = r.u8();
+  if (raw_goal > static_cast<std::uint8_t>(
+                     core::SchedulingGoal::MinEnergyDelay)) {
+    throw PayloadError{};
+  }
+  goal = static_cast<core::SchedulingGoal>(raw_goal);
+  const bool has_cap = r.boolean();
+  const double cap = r.f64();
+  if (has_cap) {
+    if (!(std::isfinite(cap) && cap > 0.0)) {
+      throw PayloadError{};
+    }
+    cap_w = cap;
+  }
+}
+
 void put_request_payload(std::vector<std::uint8_t>& out,
                          const SelectRequest& request) {
   put_u64(out, request.request_id);
@@ -198,24 +235,11 @@ void put_request_payload(std::vector<std::uint8_t>& out,
 }
 
 // Fills the payload fields of `request`; priority and fingerprint come
-// from the frame's header blocks, decoded before the payload.
+// from the frame's extension entries, decoded before the payload.
 void read_request_payload(Reader& r, SelectRequest& request) {
   request.request_id = r.u64();
   request.model_version = r.u64();
-  const std::uint8_t goal = r.u8();
-  if (goal > static_cast<std::uint8_t>(
-                 core::SchedulingGoal::MinEnergyDelay)) {
-    throw PayloadError{};
-  }
-  request.goal = static_cast<core::SchedulingGoal>(goal);
-  const std::uint8_t has_cap = r.u8();
-  if (has_cap > 1) {
-    throw PayloadError{};
-  }
-  const double cap = r.f64();
-  if (has_cap == 1) {
-    request.cap_w = cap;
-  }
+  read_goal_and_cap(r, request.goal, request.cap_w);
   request.deadline_ns = r.u64();
   request.samples.cpu = read_record(r);
   request.samples.gpu = read_record(r);
@@ -244,11 +268,7 @@ SelectResponse read_response_payload(Reader& r) {
   response.config_index = r.u32();
   response.predicted_power_w = r.f64();
   response.predicted_performance = r.f64();
-  const std::uint8_t feasible = r.u8();
-  if (feasible > 1) {
-    throw PayloadError{};
-  }
-  response.predicted_feasible = feasible == 1;
+  response.predicted_feasible = r.boolean();
   return response;
 }
 
@@ -388,23 +408,7 @@ FeedbackRequest read_feedback_request_payload(Reader& r) {
   FeedbackRequest feedback;
   feedback.request_id = r.u64();
   feedback.model_version = r.u64();
-  const std::uint8_t goal = r.u8();
-  if (goal > static_cast<std::uint8_t>(
-                 core::SchedulingGoal::MinEnergyDelay)) {
-    throw PayloadError{};
-  }
-  feedback.goal = static_cast<core::SchedulingGoal>(goal);
-  const std::uint8_t has_cap = r.u8();
-  if (has_cap > 1) {
-    throw PayloadError{};
-  }
-  const double cap = r.f64();
-  if (has_cap == 1) {
-    if (!std::isfinite(cap)) {
-      throw PayloadError{};
-    }
-    feedback.cap_w = cap;
-  }
+  read_goal_and_cap(r, feedback.goal, feedback.cap_w);
   // Non-finite residual inputs are rejected at the wire — the adapt loop
   // would discard them anyway, and a NaN here is a client bug, not drift.
   feedback.predicted_power_w = r.f64();
@@ -440,41 +444,50 @@ FeedbackResponse read_feedback_response_payload(Reader& r) {
   return response;
 }
 
+// Extension-entry types (see codec.h).
+enum Extension : std::uint8_t {
+  kTraceEntry = 1,
+  kPriorityEntry = 2,
+  kFingerprintEntry = 3,
+};
+
+void put_entry(std::vector<std::uint8_t>& out, Extension type,
+               std::size_t length) {
+  put_u8(out, type);
+  put_u8(out, static_cast<std::uint8_t>(length));
+}
+
+// Appends one frame to `out` in place: the header, an extension entry for
+// each non-null field, then the payload `put_payload` writes. The two
+// length fields are back-patched once what they measure is written.
+template <typename Message>
 void put_frame(std::vector<std::uint8_t>& out, MessageType type,
-               const std::vector<std::uint8_t>& payload,
-               const obs::TraceContext* trace,
+               void (*put_payload)(std::vector<std::uint8_t>&,
+                                   const Message&),
+               const Message& message, const obs::TraceContext* trace,
                const Priority* priority = nullptr,
                const HardwareFingerprint* fingerprint = nullptr) {
-  ACSEL_CHECK_MSG(payload.size() <= kMaxPayloadBytes,
-                  "encoded payload exceeds kMaxPayloadBytes");
-  std::uint16_t flags = 0;
-  if (trace != nullptr) {
-    flags |= kFlagTraceContext;
-  }
-  if (priority != nullptr) {
-    flags |= kFlagPriority;
-  }
-  if (fingerprint != nullptr) {
-    ACSEL_CHECK_MSG(fingerprint->hash != 0,
-                    "a zero-hash fingerprint cannot go on the wire");
-    flags |= kFlagFingerprint;
-  }
+  ACSEL_CHECK_MSG(fingerprint == nullptr || fingerprint->hash != 0,
+                  "a zero-hash fingerprint cannot go on the wire");
+  const std::size_t start = out.size();
   put_u32(out, kWireMagic);
   put_u8(out, kWireVersion);
   put_u8(out, static_cast<std::uint8_t>(type));
-  put_u16(out, flags);
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  put_u16(out, 0);  // extension bytes
+  put_u32(out, 0);  // payload length
   if (trace != nullptr) {
+    put_entry(out, kTraceEntry, kTraceBlockBytes);
     put_u64(out, trace->trace_id);
     put_u64(out, trace->span_id);
     put_u64(out, trace->parent_id);
     put_u8(out, trace->sampled ? 1 : 0);
   }
   if (priority != nullptr) {
+    put_entry(out, kPriorityEntry, kPriorityBlockBytes);
     put_u8(out, static_cast<std::uint8_t>(*priority));
   }
   if (fingerprint != nullptr) {
-    put_u8(out, kFingerprintBlockVersion);
+    put_entry(out, kFingerprintEntry, kFingerprintBlockBytes);
     put_u64(out, fingerprint->hash);
     put_u32(out, fingerprint->cpu_cores);
     put_u32(out, fingerprint->gpu_cores);
@@ -483,7 +496,77 @@ void put_frame(std::vector<std::uint8_t>& out, MessageType type,
     put_f64(out, fingerprint->idle_power_w);
     put_f64(out, fingerprint->peak_power_w);
   }
-  out.insert(out.end(), payload.begin(), payload.end());
+  const std::size_t payload_start = out.size();
+  put_payload(out, message);
+  const std::size_t payload_bytes = out.size() - payload_start;
+  if (payload_bytes > kMaxPayloadBytes) {
+    out.resize(start);  // leave `out` as the caller passed it
+  }
+  ACSEL_CHECK_MSG(payload_bytes <= kMaxPayloadBytes,
+                  "encoded payload exceeds kMaxPayloadBytes");
+  patch(out, start + 6, payload_start - start - kFrameHeaderBytes, 2);
+  patch(out, start + 8, payload_bytes, 4);
+}
+
+// Decodes the frame's extension list into `result`. An unknown type is
+// skipped by its length; a known one must be exactly its layout's length
+// and appear at most once. A violation, or an entry running past the
+// list, throws PayloadError — the frame is framed, so it stays skippable.
+void read_extensions(Reader list, Decoded& result) {
+  constexpr std::size_t kEntryBytes[] = {0, kTraceBlockBytes,
+                                         kPriorityBlockBytes,
+                                         kFingerprintBlockBytes};
+  unsigned seen = 0;
+  while (!list.exhausted()) {
+    const std::uint8_t type = list.u8();
+    const std::uint8_t length = list.u8();
+    Reader entry{list.bytes(length)};
+    if (type < kTraceEntry || type > kFingerprintEntry) {
+      continue;  // a field from a newer build: skipped by its length
+    }
+    if (length != kEntryBytes[type] || (seen & (1u << type)) != 0) {
+      throw PayloadError{};
+    }
+    seen |= 1u << type;
+    switch (type) {
+      case kTraceEntry:
+        result.trace.trace_id = entry.u64();
+        result.trace.span_id = entry.u64();
+        result.trace.parent_id = entry.u64();
+        result.trace.sampled = entry.boolean();
+        result.has_trace = true;
+        break;
+      case kPriorityEntry: {
+        const std::uint8_t priority = entry.u8();
+        if (priority > static_cast<std::uint8_t>(Priority::Low)) {
+          throw PayloadError{};
+        }
+        result.request.priority = static_cast<Priority>(priority);
+        break;
+      }
+      case kFingerprintEntry: {
+        HardwareFingerprint& fp = result.request.fingerprint.emplace();
+        fp.hash = entry.u64();
+        fp.cpu_cores = entry.u32();
+        fp.gpu_cores = entry.u32();
+        fp.cpu_peak_ghz = entry.f64();
+        fp.gpu_peak_mhz = entry.f64();
+        fp.idle_power_w = entry.f64();
+        fp.peak_power_w = entry.f64();
+        // No encoder writes a zero hash or a non-finite/negative
+        // descriptor.
+        bool valid = fp.hash != 0;
+        for (const double v : {fp.cpu_peak_ghz, fp.gpu_peak_mhz,
+                               fp.idle_power_w, fp.peak_power_w}) {
+          valid = valid && std::isfinite(v) && v >= 0.0;
+        }
+        if (!valid) {
+          throw PayloadError{};
+        }
+        break;
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -511,17 +594,11 @@ const char* to_string(DecodeStatus status) {
 void encode_request(const SelectRequest& request,
                     std::vector<std::uint8_t>& out,
                     const obs::TraceContext* trace) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(512);
-  put_request_payload(payload, request);
-  // Normal emits no block, so frames from clients that never set a
-  // priority are byte-identical to pre-priority builds (and peers that
-  // predate the flag still parse them).
-  const bool tagged = request.priority != Priority::Normal;
-  // Likewise, a fingerprint-less request emits no fingerprint block and
-  // stays byte-identical to pre-zoo builds.
-  put_frame(out, MessageType::SelectRequest, payload, trace,
-            tagged ? &request.priority : nullptr,
+  // Normal priority and a missing fingerprint emit no entry, so a request
+  // that sets neither encodes exactly as builds that predate them.
+  put_frame(out, MessageType::SelectRequest, put_request_payload, request,
+            trace,
+            request.priority != Priority::Normal ? &request.priority : nullptr,
             request.fingerprint.has_value() ? &*request.fingerprint
                                             : nullptr);
 }
@@ -529,46 +606,36 @@ void encode_request(const SelectRequest& request,
 void encode_response(const SelectResponse& response,
                      std::vector<std::uint8_t>& out,
                      const obs::TraceContext* trace) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(64);
-  put_response_payload(payload, response);
-  put_frame(out, MessageType::SelectResponse, payload, trace);
+  put_frame(out, MessageType::SelectResponse, put_response_payload, response,
+            trace);
 }
 
 void encode_stats_request(const StatsRequest& request,
                           std::vector<std::uint8_t>& out,
                           const obs::TraceContext* trace) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(8);
-  put_stats_request_payload(payload, request);
-  put_frame(out, MessageType::StatsRequest, payload, trace);
+  put_frame(out, MessageType::StatsRequest, put_stats_request_payload,
+            request, trace);
 }
 
 void encode_stats_response(const StatsResponse& response,
                            std::vector<std::uint8_t>& out,
                            const obs::TraceContext* trace) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(64 + response.metrics.size() * 80);
-  put_stats_response_payload(payload, response);
-  put_frame(out, MessageType::StatsResponse, payload, trace);
+  put_frame(out, MessageType::StatsResponse, put_stats_response_payload,
+            response, trace);
 }
 
 void encode_feedback_request(const FeedbackRequest& feedback,
                              std::vector<std::uint8_t>& out,
                              const obs::TraceContext* trace) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(512);
-  put_feedback_request_payload(payload, feedback);
-  put_frame(out, MessageType::FeedbackRequest, payload, trace);
+  put_frame(out, MessageType::FeedbackRequest, put_feedback_request_payload,
+            feedback, trace);
 }
 
 void encode_feedback_response(const FeedbackResponse& response,
                               std::vector<std::uint8_t>& out,
                               const obs::TraceContext* trace) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(16);
-  put_feedback_response_payload(payload, response);
-  put_frame(out, MessageType::FeedbackResponse, payload, trace);
+  put_frame(out, MessageType::FeedbackResponse, put_feedback_response_payload,
+            response, trace);
 }
 
 Decoded decode_frame(std::span<const std::uint8_t> buffer,
@@ -589,14 +656,7 @@ Decoded decode_frame(std::span<const std::uint8_t> buffer,
     return result;
   }
   const std::uint8_t raw_type = header.u8();
-  const std::uint16_t flags = header.u16();
-  // A flag bit this build does not know may change the frame's size (as
-  // bit 0 itself did); guessing would desynchronize the stream, so the
-  // frame is refused the same way a future version number is.
-  if ((flags & ~kKnownFlags) != 0) {
-    result.status = DecodeStatus::UnsupportedVersion;
-    return result;
-  }
+  const std::uint16_t extension_bytes = header.u16();
   const std::uint32_t payload_size = header.u32();
   // Rejected from the header alone — an adversarial length prefix (up to
   // the full 4 GiB a u32 can declare) never causes buffering or
@@ -612,83 +672,20 @@ Decoded decode_frame(std::span<const std::uint8_t> buffer,
     return result;
   }
   result.type = static_cast<MessageType>(raw_type);
-  const std::size_t trace_bytes =
-      (flags & kFlagTraceContext) != 0 ? kTraceBlockBytes : 0;
-  const std::size_t priority_bytes =
-      (flags & kFlagPriority) != 0 ? kPriorityBlockBytes : 0;
-  const std::size_t fingerprint_bytes =
-      (flags & kFlagFingerprint) != 0 ? kFingerprintBlockBytes : 0;
-  const std::uint64_t frame_size = std::uint64_t{kFrameHeaderBytes} +
-                                   trace_bytes + priority_bytes +
-                                   fingerprint_bytes + payload_size;
+  const std::uint64_t frame_size =
+      std::uint64_t{kFrameHeaderBytes} + extension_bytes + payload_size;
   if (buffer.size() < frame_size) {
     result.status = DecodeStatus::NeedMoreData;
     return result;
   }
-  if (trace_bytes != 0) {
-    Reader trace{buffer.subspan(kFrameHeaderBytes, kTraceBlockBytes)};
-    result.trace.trace_id = trace.u64();
-    result.trace.span_id = trace.u64();
-    result.trace.parent_id = trace.u64();
-    const std::uint8_t sampled = trace.u8();
-    if (sampled > 1) {
-      // The frame is correctly sized — skippable — but its trace block is
-      // not something an encoder produces.
-      result.status = DecodeStatus::MalformedPayload;
-      result.bytes_consumed = frame_size;
-      return result;
-    }
-    result.trace.sampled = sampled == 1;
-    result.has_trace = true;
-  }
-  if (priority_bytes != 0) {
-    const std::uint8_t priority = buffer[kFrameHeaderBytes + trace_bytes];
-    if (priority > static_cast<std::uint8_t>(Priority::Low)) {
-      // Correctly sized, so skippable, but no encoder writes this value.
-      result.status = DecodeStatus::MalformedPayload;
-      result.bytes_consumed = frame_size;
-      return result;
-    }
-    result.request.priority = static_cast<Priority>(priority);
-  }
-  if (fingerprint_bytes != 0) {
-    Reader block{buffer.subspan(kFrameHeaderBytes + trace_bytes +
-                                    priority_bytes,
-                                kFingerprintBlockBytes)};
-    const std::uint8_t block_version = block.u8();
-    if (block_version != kFingerprintBlockVersion) {
-      // A future block layout may have a different size, so the frame
-      // boundary computed above cannot be trusted: refuse like an unknown
-      // flag bit rather than skip by guesswork.
-      result.status = DecodeStatus::UnsupportedVersion;
-      result.bytes_consumed = 0;
-      return result;
-    }
-    HardwareFingerprint& fp = result.request.fingerprint.emplace();
-    fp.hash = block.u64();
-    fp.cpu_cores = block.u32();
-    fp.gpu_cores = block.u32();
-    fp.cpu_peak_ghz = block.f64();
-    fp.gpu_peak_mhz = block.f64();
-    fp.idle_power_w = block.f64();
-    fp.peak_power_w = block.f64();
-    // Correctly sized (skippable), but no encoder writes a zero hash or a
-    // non-finite/negative descriptor.
-    bool valid = fp.hash != 0;
-    for (const double v : {fp.cpu_peak_ghz, fp.gpu_peak_mhz,
-                           fp.idle_power_w, fp.peak_power_w}) {
-      valid = valid && std::isfinite(v) && v >= 0.0;
-    }
-    if (!valid) {
-      result.status = DecodeStatus::MalformedPayload;
-      result.bytes_consumed = frame_size;
-      return result;
-    }
-  }
-  Reader payload{buffer.subspan(
-      kFrameHeaderBytes + trace_bytes + priority_bytes + fingerprint_bytes,
-      payload_size)};
+  // The header sized the frame, so whatever fails below leaves it
+  // skippable.
+  result.bytes_consumed = frame_size;
+  Reader payload{
+      buffer.subspan(kFrameHeaderBytes + extension_bytes, payload_size)};
   try {
+    read_extensions(Reader{buffer.subspan(kFrameHeaderBytes, extension_bytes)},
+                    result);
     switch (result.type) {
       case MessageType::SelectRequest:
         read_request_payload(payload, result.request);
@@ -716,7 +713,6 @@ Decoded decode_frame(std::span<const std::uint8_t> buffer,
   } catch (const PayloadError&) {
     result.status = DecodeStatus::MalformedPayload;
   }
-  result.bytes_consumed = frame_size;
   return result;
 }
 

@@ -1,42 +1,43 @@
 // Length-prefixed binary wire codec for the selection service, so the
 // server can later sit behind a real socket. Framing (version 2):
 //
-//   u32  magic          "ACSL" (0x4C534341 little-endian)
+//   u32  magic           "ACSL" (0x4C534341 little-endian)
 //   u8   protocol version (currently 2)
-//   u8   message type   (1 = SelectRequest, 2 = SelectResponse,
-//                        3 = StatsRequest, 4 = StatsResponse,
-//                        5 = FeedbackRequest, 6 = FeedbackResponse)
-//   u16  flags          (bit 0 = trace-context block present, bit 1 =
-//                        priority block present, bit 2 = hardware-
-//                        fingerprint block present; all other bits
-//                        reserved, must be 0)
-//   u32  payload length (hard-capped at kMaxPayloadBytes; excludes the
-//                        optional blocks)
-//   [trace block — 25 bytes, present iff flags bit 0]
-//     u64 trace_id, u64 span_id, u64 parent_id, u8 sampled (0/1)
-//   [priority block — 1 byte, present iff flags bit 1]
-//     u8 priority (0 = High, 1 = Normal, 2 = Low)
-//   [fingerprint block — 49 bytes, present iff flags bit 2]
-//     u8 block version (currently 1; any other value refuses the frame
-//        as UnsupportedVersion, since a future layout may change the
-//        block's size), u64 hash (must be nonzero), u32 cpu_cores,
-//     u32 gpu_cores, f64 cpu_peak_ghz, f64 gpu_peak_mhz,
-//     f64 idle_power_w, f64 peak_power_w
+//   u8   message type    (1 = SelectRequest, 2 = SelectResponse,
+//                         3 = StatsRequest, 4 = StatsResponse,
+//                         5 = FeedbackRequest, 6 = FeedbackResponse)
+//   u16  extension bytes (length of the extension list below)
+//   u32  payload length  (hard-capped at kMaxPayloadBytes)
+//   ...  extension list: entries of u8 type, u8 length, `length` bytes
+//     type 1, trace (25 bytes): u64 trace_id, u64 span_id, u64 parent_id,
+//       u8 sampled (0/1)
+//     type 2, priority (1 byte): u8 priority (0 = High, 1 = Normal,
+//       2 = Low)
+//     type 3, fingerprint (48 bytes): u64 hash (must be nonzero),
+//       u32 cpu_cores, u32 gpu_cores, f64 cpu_peak_ghz, f64 gpu_peak_mhz,
+//       f64 idle_power_w, f64 peak_power_w
 //   ...  payload
 //
+// Every frame's size is 12 + extension bytes + payload length, known from
+// the header alone. An entry of a type this build does not know is
+// skipped by its length, so a new field is one new entry type and old
+// peers still decode the frame. A known type with the wrong length, a
+// second entry of one type, or an entry running past the list makes the
+// frame MalformedPayload (framed, so skippable). Encoders write entries in
+// type order and only for fields that differ from the default: a request
+// without trace, priority or fingerprint has an empty list.
+//
 // Version history: v1 had the same 12-byte header with the u16 as an
-// always-zero reserved field and no trace block; v2 repurposed it as
-// flags and appended deadline_ns to the SelectRequest payload. The
-// priority block (bit 1) and the fingerprint block (bit 2) arrived later
-// within v2 under one compatibility rule: a request with neither block
-// is a Normal-priority, fingerprint-less request, byte-identical to the
-// builds that predate them. The StatsResponse payload is the registry
-// rows followed by the alert rows; its earlier layout (bespoke adapt,
-// fleet, series and slo blocks after the rows) decodes as
-// MalformedPayload. The decoder speaks only the current version — v1
-// frames report UnsupportedVersion, as do frames setting flag bits this
-// build does not know (a frame whose size cannot be determined must not
-// be resynchronized by guesswork).
+// always-zero reserved field; v2 appended deadline_ns to the SelectRequest
+// payload. Earlier v2 builds used the u16 as flag bits, each gating a
+// fixed-size block. Their frames with a bit set no longer decode (the
+// bits now read as a list length), so every peer must be built from this
+// tree; their frames without one are byte-identical to today's
+// extension-less frames. The StatsResponse payload is the registry rows
+// followed by the alert rows; its earlier layout (bespoke adapt, fleet,
+// series and slo blocks after the rows) decodes as MalformedPayload. The
+// decoder speaks only the current version — v1 frames report
+// UnsupportedVersion.
 //
 // All integers are little-endian; doubles travel as their IEEE-754 bit
 // patterns, so predictions round-trip bit-exactly. Decoding never throws:
@@ -58,21 +59,10 @@ namespace acsel::serve {
 inline constexpr std::uint32_t kWireMagic = 0x4C534341u;  // "ACSL"
 inline constexpr std::uint8_t kWireVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 12;
-/// Header flags (the u16 that was reserved-zero in v1).
-inline constexpr std::uint16_t kFlagTraceContext = 0x0001;
-inline constexpr std::uint16_t kFlagPriority = 0x0002;
-inline constexpr std::uint16_t kFlagFingerprint = 0x0004;
-inline constexpr std::uint16_t kKnownFlags =
-    kFlagTraceContext | kFlagPriority | kFlagFingerprint;
-/// Trace block: trace_id + span_id + parent_id + sampled.
+/// Extension-entry bodies, excluding the 2-byte type/length prefix.
 inline constexpr std::size_t kTraceBlockBytes = 25;
-/// Priority block: one Priority byte.
 inline constexpr std::size_t kPriorityBlockBytes = 1;
-/// Fingerprint block: block version + hash + core counts + 4 descriptor
-/// doubles. The leading version byte lets the block grow without minting
-/// a new flag bit.
-inline constexpr std::uint8_t kFingerprintBlockVersion = 1;
-inline constexpr std::size_t kFingerprintBlockBytes = 1 + 8 + 4 + 4 + 4 * 8;
+inline constexpr std::size_t kFingerprintBlockBytes = 8 + 4 + 4 + 4 * 8;
 /// A sample pair encodes in well under 1 KiB; anything near this limit is
 /// garbage or an attack, not a request.
 inline constexpr std::size_t kMaxPayloadBytes = 64 * 1024;
@@ -95,16 +85,17 @@ enum class DecodeStatus {
   /// Declared payload length exceeds kMaxPayloadBytes.
   OversizedFrame,
   UnknownType,
-  /// Frame was complete but its payload did not parse (truncated field,
-  /// out-of-range enum, trailing bytes, invalid configuration).
+  /// Frame was complete but its extension list or payload did not parse
+  /// (truncated field, out-of-range enum, trailing bytes, invalid
+  /// configuration, wrong-length or duplicate extension entry).
   MalformedPayload,
 };
 
 const char* to_string(DecodeStatus status);
 
 /// Appends one complete frame carrying `request` / `response` to `out`.
-/// A non-null `trace` rides in the frame's trace-context block (flags bit
-/// 0), tying the frame into a distributed trace; nullptr emits no block.
+/// A non-null `trace` rides in the frame's trace entry, tying the frame
+/// into a distributed trace; nullptr emits no entry.
 void encode_request(const SelectRequest& request,
                     std::vector<std::uint8_t>& out,
                     const obs::TraceContext* trace = nullptr);
@@ -128,18 +119,18 @@ struct Decoded {
   DecodeStatus status = DecodeStatus::NeedMoreData;
   MessageType type = MessageType::SelectRequest;
   /// Bytes to remove from the front of the stream: the full frame for Ok
-  /// and MalformedPayload (a framed-but-bad payload is skippable), 0 for
-  /// everything else (header-level corruption — resynchronization is the
-  /// transport's problem, typically "drop the connection").
+  /// and MalformedPayload (a framed-but-bad extension list or payload is
+  /// skippable), 0 for everything else (header-level corruption —
+  /// resynchronization is the transport's problem, typically "drop the
+  /// connection").
   std::size_t bytes_consumed = 0;
-  /// Trace context carried by the frame's trace block (flags bit 0);
-  /// `has_trace` is false when the frame carried none.
+  /// Trace context carried by the frame's trace entry; `has_trace` is
+  /// false when the frame carried none.
   bool has_trace = false;
   obs::TraceContext trace;
   /// Valid when status == Ok, type == SelectRequest. The frame's priority
-  /// block (flags bit 1) decodes into `request.priority`, Normal when
-  /// absent; its fingerprint block (flags bit 2) into
-  /// `request.fingerprint`, nullopt when absent.
+  /// entry decodes into `request.priority`, Normal when absent; its
+  /// fingerprint entry into `request.fingerprint`, nullopt when absent.
   SelectRequest request;
   SelectResponse response;  ///< valid when status == Ok, type == SelectResponse
   StatsRequest stats_request;    ///< valid when Ok, type == StatsRequest

@@ -44,9 +44,9 @@ const char* to_string(ResponseStatus status);
 /// Overload-control class of a request. Under queue pressure the server
 /// sheds Low first, then Normal; High is only shed when the queue is
 /// truly full. The fleet's brownout stages shed Low at the router before
-/// any replica sees the request. Encoded on the wire as a versioned
-/// optional frame block (header flags bit 1), so v2 peers that predate
-/// priorities interoperate: an absent block means Normal.
+/// any replica sees the request. Encoded on the wire as an optional frame
+/// extension entry; an absent entry means Normal, so Normal requests are
+/// byte-identical to frames from builds that predate priorities.
 enum class Priority : std::uint8_t {
   High = 0,
   Normal = 1,
@@ -64,9 +64,9 @@ const char* to_string(Priority priority);
 /// coefficients; the descriptor fields are a coarse embedding used to pick
 /// the *nearest* architecture when no exact hash match is published.
 /// Defined here (not in zoo) because the codec and registry must handle
-/// it, and serve never depends on the layers above it. Encoded on the wire as a versioned optional frame
-/// block (header flags bit 2); absent block = fingerprint-less request,
-/// byte-identical to older builds.
+/// it, and serve never depends on the layers above it. Encoded on the
+/// wire as an optional frame extension entry; absent entry =
+/// fingerprint-less request, byte-identical to older builds.
 struct HardwareFingerprint {
   std::uint64_t hash = 0;  ///< canonical spec hash; 0 = "no fingerprint"
   std::uint32_t cpu_cores = 0;

@@ -5,6 +5,7 @@
 // typed errors instead of publishing garbage.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -12,6 +13,7 @@
 #include <ostream>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/predictor.h"
@@ -98,6 +100,37 @@ TEST(ServeCodec, RequestWithoutCapRoundTrips) {
   const Decoded decoded = decode_frame(bytes);
   ASSERT_EQ(decoded.status, DecodeStatus::Ok);
   EXPECT_FALSE(decoded.request.cap_w.has_value());
+}
+
+TEST(ServeCodec, ExtensionlessRequestHeaderIsPinnedToLiteralBytes) {
+  // The header every peer has always written for a plain request: magic,
+  // version 2, type 1, an empty extension list, the payload length.
+  std::vector<std::uint8_t> bytes;
+  encode_request(make_request(), bytes);
+  const std::size_t payload = bytes.size() - kFrameHeaderBytes;
+  const std::vector<std::uint8_t> header{
+      'A', 'C', 'S', 'L', 2, 1, 0x00, 0x00,
+      static_cast<std::uint8_t>(payload & 0xff),
+      static_cast<std::uint8_t>((payload >> 8) & 0xff), 0x00, 0x00};
+  EXPECT_EQ(std::vector<std::uint8_t>(bytes.begin(),
+                                      bytes.begin() + kFrameHeaderBytes),
+            header);
+}
+
+TEST(ServeCodec, BadRequestCapIsMalformedButSkippable) {
+  // A present cap must be finite and positive; anything else is refused
+  // at the wire rather than thrown inside the scheduler.
+  for (const double cap : {std::numeric_limits<double>::quiet_NaN(), 0.0,
+                           -1.0, std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    SelectRequest request = make_request();
+    request.cap_w = cap;
+    std::vector<std::uint8_t> bytes;
+    encode_request(request, bytes);
+    const Decoded decoded = decode_frame(bytes);
+    EXPECT_EQ(decoded.status, DecodeStatus::MalformedPayload) << cap;
+    EXPECT_EQ(decoded.bytes_consumed, bytes.size()) << cap;
+  }
 }
 
 TEST(ServeCodec, ResponseRoundTrip) {
@@ -543,11 +576,14 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(ServeCodec, FeedbackRequestRejectsANonFiniteCap) {
-  FeedbackRequest feedback = make_feedback();
-  feedback.cap_w = std::numeric_limits<double>::infinity();
-  std::vector<std::uint8_t> bytes;
-  encode_feedback_request(feedback, bytes);
-  EXPECT_EQ(decode_frame(bytes).status, DecodeStatus::MalformedPayload);
+  for (const double cap : {std::numeric_limits<double>::infinity(), 0.0}) {
+    FeedbackRequest feedback = make_feedback();
+    feedback.cap_w = cap;
+    std::vector<std::uint8_t> bytes;
+    encode_feedback_request(feedback, bytes);
+    EXPECT_EQ(decode_frame(bytes).status, DecodeStatus::MalformedPayload)
+        << cap;
+  }
 }
 
 TEST(ServeCodec, FeedbackRequestRejectsCorruptEnumBytes) {
@@ -604,7 +640,7 @@ std::vector<std::uint8_t> make_header(MessageType type,
   put_u32(kWireMagic);
   frame.push_back(kWireVersion);
   frame.push_back(static_cast<std::uint8_t>(type));
-  frame.push_back(0);  // reserved
+  frame.push_back(0);  // extension bytes
   frame.push_back(0);
   put_u32(payload_length);
   return frame;
@@ -655,10 +691,10 @@ TEST(ServeCodec, TraceContextRoundTripsOnRequestFrames) {
   ASSERT_TRUE(decoded.has_trace);
   EXPECT_EQ(decoded.trace, trace);
   EXPECT_EQ(decoded.bytes_consumed, bytes.size());
-  // The flag costs exactly the trace block.
+  // The trace costs exactly its entry: type, length, body.
   std::vector<std::uint8_t> untraced;
   encode_request(make_request(), untraced);
-  EXPECT_EQ(bytes.size(), untraced.size() + kTraceBlockBytes);
+  EXPECT_EQ(bytes.size(), untraced.size() + 2 + kTraceBlockBytes);
 }
 
 TEST(ServeCodec, TraceContextRoundTripsOnEveryMessageType) {
@@ -719,8 +755,8 @@ TEST(ServeCodec, TracedAndUntracedFramesInterleaveInOneStream) {
 }
 
 TEST(ServeCodec, VersionOneFramesAreUnsupported) {
-  // v1 frames had no flags field; a v1 peer is told to upgrade rather
-  // than have its bytes misread.
+  // v1 frames carried a shorter SelectRequest payload; a v1 peer is told
+  // to upgrade rather than have its bytes misread.
   std::vector<std::uint8_t> bytes;
   encode_request(make_request(), bytes);
   bytes[4] = 1;
@@ -729,25 +765,107 @@ TEST(ServeCodec, VersionOneFramesAreUnsupported) {
   EXPECT_EQ(decoded.bytes_consumed, 0u);
 }
 
-TEST(ServeCodec, UnknownFlagBitsAreUnsupportedNotGuessed) {
-  // An unknown flag bit may change the frame size (as bits 0 through 2
-  // all did), so decoding must refuse rather than desynchronize the
-  // stream.
+/// Inserts an extension entry of `type` carrying `body` at the end of the
+/// frame's extension list and grows the header's extension-bytes field.
+void append_entry(std::vector<std::uint8_t>& frame, std::uint8_t type,
+                  const std::vector<std::uint8_t>& body) {
+  const std::size_t extension_bytes =
+      static_cast<std::size_t>(frame[6] | (frame[7] << 8));
+  std::vector<std::uint8_t> entry{type,
+                                  static_cast<std::uint8_t>(body.size())};
+  entry.insert(entry.end(), body.begin(), body.end());
+  frame.insert(frame.begin() + static_cast<std::ptrdiff_t>(
+                                   kFrameHeaderBytes + extension_bytes),
+               entry.begin(), entry.end());
+  const std::size_t grown = extension_bytes + entry.size();
+  frame[6] = static_cast<std::uint8_t>(grown & 0xff);
+  frame[7] = static_cast<std::uint8_t>(grown >> 8);
+}
+
+TEST(ServeCodec, UnknownExtensionTypeIsSkippedByItsLength) {
+  // An entry type this build does not know — a newer peer's field — is
+  // stepped over, and the known entries around it still decode.
   const obs::TraceContext trace = make_trace();
-  for (const std::uint8_t bit :
-       {std::uint8_t{0x08}, std::uint8_t{0x80}}) {
+  SelectRequest request = make_request();
+  request.priority = Priority::Low;
+  std::vector<std::uint8_t> bytes;
+  encode_request(request, bytes, &trace);
+  append_entry(bytes, 0, {});
+  append_entry(bytes, 4, {9, 9, 9});
+  append_entry(bytes, 255, std::vector<std::uint8_t>(255, 0xee));
+  const Decoded decoded = decode_frame(bytes);
+  ASSERT_EQ(decoded.status, DecodeStatus::Ok);
+  EXPECT_EQ(decoded.bytes_consumed, bytes.size());
+  EXPECT_TRUE(decoded.has_trace);
+  EXPECT_EQ(decoded.trace, trace);
+  EXPECT_EQ(decoded.request.priority, Priority::Low);
+  EXPECT_EQ(decoded.request.request_id, request.request_id);
+}
+
+TEST(ServeCodec, WrongLengthExtensionEntryIsMalformedButSkippable) {
+  // A known type's length is its layout; any other length — including the
+  // 49-byte fingerprint block of earlier builds — is not from an encoder.
+  for (const auto& [type, length] :
+       {std::pair<std::uint8_t, std::size_t>{1, kTraceBlockBytes - 1},
+        {1, kTraceBlockBytes + 1},
+        {2, 0},
+        {2, 2},
+        {3, kFingerprintBlockBytes + 1}}) {
     std::vector<std::uint8_t> bytes;
-    encode_request(make_request(), bytes, &trace);
-    // flags u16 little-endian at offsets 6..7
-    bytes[6] = static_cast<std::uint8_t>(bytes[6] | bit);
+    encode_request(make_request(), bytes);
+    append_entry(bytes, type, std::vector<std::uint8_t>(length, 1));
     const Decoded decoded = decode_frame(bytes);
-    EXPECT_EQ(decoded.status, DecodeStatus::UnsupportedVersion);
-    EXPECT_EQ(decoded.bytes_consumed, 0u);
+    EXPECT_EQ(decoded.status, DecodeStatus::MalformedPayload)
+        << "type " << int{type} << " length " << length;
+    EXPECT_EQ(decoded.bytes_consumed, bytes.size());
   }
+}
+
+TEST(ServeCodec, DuplicateExtensionEntryIsMalformedButSkippable) {
+  SelectRequest request = make_request();
+  request.priority = Priority::High;
+  std::vector<std::uint8_t> bytes;
+  encode_request(request, bytes);
+  append_entry(bytes, 2, {static_cast<std::uint8_t>(Priority::Low)});
+  const Decoded decoded = decode_frame(bytes);
+  EXPECT_EQ(decoded.status, DecodeStatus::MalformedPayload);
+  EXPECT_EQ(decoded.bytes_consumed, bytes.size());
+}
+
+TEST(ServeCodec, ExtensionEntryRunningPastTheListIsMalformedButSkippable) {
+  const obs::TraceContext trace = make_trace();
   std::vector<std::uint8_t> bytes;
   encode_request(make_request(), bytes, &trace);
-  bytes[7] = 0x01;  // high byte of the flags field
-  EXPECT_EQ(decode_frame(bytes).status, DecodeStatus::UnsupportedVersion);
+  // The trace entry's length claims one byte more than the list holds.
+  bytes[kFrameHeaderBytes + 1] = kTraceBlockBytes + 1;
+  Decoded decoded = decode_frame(bytes);
+  EXPECT_EQ(decoded.status, DecodeStatus::MalformedPayload);
+  EXPECT_EQ(decoded.bytes_consumed, bytes.size());
+  // A lone type byte with no length byte after it.
+  bytes.clear();
+  encode_request(make_request(), bytes);
+  bytes.insert(bytes.begin() + kFrameHeaderBytes, 1);
+  bytes[6] = 1;
+  decoded = decode_frame(bytes);
+  EXPECT_EQ(decoded.status, DecodeStatus::MalformedPayload);
+  EXPECT_EQ(decoded.bytes_consumed, bytes.size());
+}
+
+TEST(ServeCodec, FlagBitTraceFramesOfEarlierBuildsAreMalformed) {
+  // Earlier builds set flags bit 0 and appended a bare 25-byte trace
+  // block. That bit now reads as a 1-byte extension list, too short for
+  // an entry, so the frame is refused; the header sizes it 24 bytes short,
+  // which is why every peer must be built from the same tree.
+  const obs::TraceContext trace = make_trace();
+  std::vector<std::uint8_t> bytes;
+  encode_request(make_request(), bytes, &trace);
+  bytes.erase(bytes.begin() + kFrameHeaderBytes,
+              bytes.begin() + kFrameHeaderBytes + 2);  // drop type, length
+  bytes[6] = 0x01;
+  bytes[7] = 0x00;
+  const Decoded decoded = decode_frame(bytes);
+  EXPECT_EQ(decoded.status, DecodeStatus::MalformedPayload);
+  EXPECT_EQ(decoded.bytes_consumed, bytes.size() - (kTraceBlockBytes - 1));
 }
 
 TEST(ServeCodec, TruncatedTraceBlockIsNeedMoreData) {
@@ -756,7 +874,7 @@ TEST(ServeCodec, TruncatedTraceBlockIsNeedMoreData) {
   encode_request(make_request(), bytes, &trace);
   for (const std::size_t cut :
        {kFrameHeaderBytes, kFrameHeaderBytes + 1,
-        kFrameHeaderBytes + kTraceBlockBytes - 1}) {
+        kFrameHeaderBytes + 2 + kTraceBlockBytes - 1}) {
     const Decoded decoded =
         decode_frame(std::span<const std::uint8_t>{bytes.data(), cut});
     EXPECT_EQ(decoded.status, DecodeStatus::NeedMoreData) << "cut " << cut;
@@ -768,7 +886,8 @@ TEST(ServeCodec, CorruptSampledByteIsMalformedButSkippable) {
   const obs::TraceContext trace = make_trace();
   std::vector<std::uint8_t> bytes;
   encode_request(make_request(), bytes, &trace);
-  bytes[kFrameHeaderBytes + kTraceBlockBytes - 1] = 2;  // sampled must be 0/1
+  // sampled, the entry's last byte, must be 0/1
+  bytes[kFrameHeaderBytes + 2 + kTraceBlockBytes - 1] = 2;
   const Decoded decoded = decode_frame(bytes);
   EXPECT_EQ(decoded.status, DecodeStatus::MalformedPayload);
   // The frame is correctly sized, so a stream can skip past it.
@@ -942,7 +1061,7 @@ TEST(PredictorEnvelope, TypedRejectionsRemainPlainErrorsToOldCatchSites) {
   std::remove(path.c_str());
 }
 
-// ---- priority block ----------------------------------------------------
+// ---- priority extension ------------------------------------------------
 
 TEST(ServeCodec, PriorityBlockRoundTripsHighAndLow) {
   for (const Priority priority : {Priority::High, Priority::Low}) {
@@ -959,8 +1078,8 @@ TEST(ServeCodec, PriorityBlockRoundTripsHighAndLow) {
 
 TEST(ServeCodec, NormalPriorityOmitsTheBlockByteIdentically) {
   // A Normal request must encode exactly as a pre-priority build would:
-  // no flag bit, no block byte — so version-skewed peers interoperate
-  // and byte-keyed caches (the server's batch memoization) are unmoved.
+  // no extension entry — so byte-keyed caches (the server's batch
+  // memoization) are unmoved.
   SelectRequest request = make_request();
   request.priority = Priority::Normal;
   std::vector<std::uint8_t> with_normal;
@@ -973,10 +1092,9 @@ TEST(ServeCodec, NormalPriorityOmitsTheBlockByteIdentically) {
   const Decoded decoded = decode_frame(with_normal);
   ASSERT_EQ(decoded.status, DecodeStatus::Ok);
   EXPECT_EQ(decoded.request.priority, Priority::Normal);
-  // Flags bit 1 (priority) is clear on the wire.
-  const std::uint16_t flags = static_cast<std::uint16_t>(
-      with_normal[6] | (with_normal[7] << 8));
-  EXPECT_EQ(flags & kFlagPriority, 0);
+  // The extension list is empty on the wire.
+  EXPECT_EQ(with_normal[6], 0);
+  EXPECT_EQ(with_normal[7], 0);
 }
 
 TEST(ServeCodec, BadPriorityByteIsMalformedButSkippable) {
@@ -984,8 +1102,9 @@ TEST(ServeCodec, BadPriorityByteIsMalformedButSkippable) {
   request.priority = Priority::High;
   std::vector<std::uint8_t> bytes;
   encode_request(request, bytes);
-  // No trace block, so the priority byte sits right after the header.
-  bytes[kFrameHeaderBytes] = 3;  // beyond Priority::Low
+  // No trace entry, so the priority entry is the list's first: its byte
+  // follows the entry's type and length.
+  bytes[kFrameHeaderBytes + 2] = 3;  // beyond Priority::Low
   const Decoded decoded = decode_frame(bytes);
   EXPECT_EQ(decoded.status, DecodeStatus::MalformedPayload);
   // Framed-but-bad: the stream can skip the whole frame and resume.
@@ -1009,7 +1128,7 @@ TEST(ServeCodec, PriorityBlockCoexistsWithATraceBlock) {
   EXPECT_EQ(decoded.request.priority, Priority::Low);
 }
 
-// ---- fingerprint block -------------------------------------------------
+// ---- fingerprint extension ---------------------------------------------
 
 HardwareFingerprint make_fingerprint() {
   HardwareFingerprint fp;
@@ -1039,34 +1158,22 @@ TEST(ServeCodec, FingerprintBlockRoundTripsOnRequestFrames) {
   EXPECT_EQ(fp.gpu_peak_mhz, request.fingerprint->gpu_peak_mhz);
   EXPECT_EQ(fp.idle_power_w, request.fingerprint->idle_power_w);
   EXPECT_EQ(fp.peak_power_w, request.fingerprint->peak_power_w);
-  // The flag costs exactly the fingerprint block.
+  // The fingerprint costs exactly its entry: type, length, body.
   std::vector<std::uint8_t> unkeyed;
   encode_request(make_request(), unkeyed);
-  EXPECT_EQ(bytes.size(), unkeyed.size() + kFingerprintBlockBytes);
+  EXPECT_EQ(bytes.size(), unkeyed.size() + 2 + kFingerprintBlockBytes);
 }
 
 TEST(ServeCodec, FingerprintlessFramesAreByteIdenticalToLegacy) {
-  // A request without a fingerprint must not pay for the new block nor
-  // set its flag bit — old and new builds produce the same bytes.
+  // A request without a fingerprint must not pay for an entry — old and
+  // new builds produce the same bytes.
   std::vector<std::uint8_t> bytes;
   encode_request(make_request(), bytes);
-  EXPECT_EQ(bytes[6] & 0x04, 0);  // flags bit 2 unset
+  EXPECT_EQ(bytes[6], 0);  // empty extension list
+  EXPECT_EQ(bytes[7], 0);
   const Decoded decoded = decode_frame(bytes);
   ASSERT_EQ(decoded.status, DecodeStatus::Ok);
   EXPECT_FALSE(decoded.request.fingerprint.has_value());
-}
-
-TEST(ServeCodec, FingerprintBlockVersionMismatchIsUnsupported) {
-  // A future block layout may have a different size, so the frame
-  // boundary cannot be trusted: refuse like an unknown flag bit.
-  SelectRequest request = make_request();
-  request.fingerprint = make_fingerprint();
-  std::vector<std::uint8_t> bytes;
-  encode_request(request, bytes);
-  bytes[kFrameHeaderBytes] = kFingerprintBlockVersion + 1;
-  const Decoded decoded = decode_frame(bytes);
-  EXPECT_EQ(decoded.status, DecodeStatus::UnsupportedVersion);
-  EXPECT_EQ(decoded.bytes_consumed, 0u);
 }
 
 TEST(ServeCodec, TruncatedFingerprintBlockIsNeedMoreData) {
@@ -1076,7 +1183,7 @@ TEST(ServeCodec, TruncatedFingerprintBlockIsNeedMoreData) {
   encode_request(request, bytes);
   for (const std::size_t cut :
        {kFrameHeaderBytes, kFrameHeaderBytes + 1,
-        kFrameHeaderBytes + kFingerprintBlockBytes - 1}) {
+        kFrameHeaderBytes + 2 + kFingerprintBlockBytes - 1}) {
     const Decoded decoded =
         decode_frame(std::span<const std::uint8_t>{bytes.data(), cut});
     EXPECT_EQ(decoded.status, DecodeStatus::NeedMoreData) << "cut " << cut;
@@ -1092,7 +1199,7 @@ TEST(ServeCodec, ZeroHashFingerprintIsMalformedButSkippable) {
   std::vector<std::uint8_t> bytes;
   encode_request(request, bytes);
   for (std::size_t i = 0; i < 8; ++i) {
-    bytes[kFrameHeaderBytes + 1 + i] = 0;  // hash u64 follows the version
+    bytes[kFrameHeaderBytes + 2 + i] = 0;  // hash u64 opens the entry
   }
   const Decoded decoded = decode_frame(bytes);
   EXPECT_EQ(decoded.status, DecodeStatus::MalformedPayload);

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -526,6 +527,51 @@ TEST_F(ServeTest, ServeFrameRejectsMalformedInput) {
   const Decoded wrong_type = decode_frame(server.serve_frame(response_frame));
   ASSERT_EQ(wrong_type.status, DecodeStatus::Ok);
   EXPECT_EQ(wrong_type.response.status, ResponseStatus::MalformedRequest);
+}
+
+TEST_F(ServeTest, BadWireCapIsMalformedAndNeverChargedToTheBreaker) {
+  // A NaN, non-positive or infinite cap is refused at the wire. Decoded,
+  // it would throw in the scheduler under MaxPerformance — an
+  // InternalError charged to the breaker, which then reroutes good
+  // traffic to the previous model — or be served uncapped.
+  ModelRegistry registry;
+  registry.publish(model_a_);
+  const std::uint64_t current = registry.publish(model_b_);
+  ServerOptions options;
+  options.workers = 1;
+  options.breaker.enabled = true;
+  options.breaker.failure_threshold = 3;
+  Server server{registry, options};
+
+  std::uint64_t id = 1;
+  for (const core::SchedulingGoal goal :
+       {core::SchedulingGoal::MaxPerformance, core::SchedulingGoal::MinEnergy,
+        core::SchedulingGoal::MinEnergyDelay}) {
+    for (const double cap : {std::numeric_limits<double>::quiet_NaN(), 0.0,
+                             -1.0, std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+      SelectRequest request = make_request(id++, 5);
+      request.goal = goal;
+      request.cap_w = cap;
+      std::vector<std::uint8_t> frame;
+      encode_request(request, frame);
+      const Decoded reply = decode_frame(server.serve_frame(frame));
+      ASSERT_EQ(reply.status, DecodeStatus::Ok);
+      EXPECT_EQ(reply.response.status, ResponseStatus::MalformedRequest)
+          << "cap " << cap;
+    }
+  }
+  EXPECT_EQ(server.breaker().state(), Breaker::State::Closed);
+  EXPECT_EQ(server.breaker().trips(), 0u);
+
+  SelectRequest good = make_request(id, 5);
+  good.cap_w = 30.0;
+  std::vector<std::uint8_t> frame;
+  encode_request(good, frame);
+  const Decoded reply = decode_frame(server.serve_frame(frame));
+  ASSERT_EQ(reply.status, DecodeStatus::Ok);
+  EXPECT_EQ(reply.response.status, ResponseStatus::Ok);
+  EXPECT_EQ(reply.response.model_version, current);
 }
 
 /// A StatsRequest frame answered over the wire returns the exact snapshot
