@@ -5,12 +5,19 @@
 // deliberate — at the service's request rates (tens of microseconds of
 // model work per item, amortized further by batch pops) lock hold times
 // are nanoseconds and a lock-free ring would buy nothing measurable.
+//
+// The queue also counts execution slots: every successful pop claims one
+// until release(), and try_claim_idle() claims one for work that skips the
+// queue. Pops wait for a free slot, so at most `slots` consumers — queued
+// or not — run at once, and because a slot is only claimed past the queue
+// while it is empty, such work never overtakes an item already queued.
 #pragma once
 
 #include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -22,8 +29,15 @@ namespace acsel::serve {
 template <typename T>
 class BoundedQueue {
  public:
-  explicit BoundedQueue(std::size_t capacity) : capacity_(capacity) {
+  /// `slots` defaults to unbounded for plain-queue use, where pops never
+  /// wait for a slot and need not be released; wait_idle() is only
+  /// meaningful when every claim is released.
+  explicit BoundedQueue(
+      std::size_t capacity,
+      std::size_t slots = std::numeric_limits<std::size_t>::max())
+      : capacity_(capacity), slots_(slots) {
     ACSEL_CHECK_MSG(capacity >= 1, "queue capacity must be >= 1");
+    ACSEL_CHECK_MSG(slots >= 1, "queue needs >= 1 execution slot");
   }
 
   BoundedQueue(const BoundedQueue&) = delete;
@@ -52,33 +66,73 @@ class BoundedQueue {
     return true;
   }
 
-  /// Blocks until an item is available or the queue is closed and
-  /// drained; returns whether `out` was filled.
+  /// Blocks until an item and a free slot are available, or the queue is
+  /// closed and drained; returns whether `out` was filled (and a slot
+  /// claimed).
   bool pop(T& out) {
     std::unique_lock<std::mutex> lock{mu_};
-    cv_.wait(lock, [&] { return closed_ || !items_.empty(); });
+    wait_for_work(lock);
     if (items_.empty()) {
       return false;
     }
     out = std::move(items_.front());
     items_.pop_front();
+    claim_popped();
     return true;
   }
 
-  /// Blocks for the first item, then drains up to `max_items` without
-  /// further waiting — the batching primitive. Appends to `out` and
-  /// returns the number of items taken (0 only when closed and drained).
+  /// Blocks for the first item and a free slot, then drains up to
+  /// `max_items` without further waiting — the batching primitive. Appends
+  /// to `out` and returns the number of items taken (0 only when closed
+  /// and drained); a non-zero return claims one slot for the whole batch.
   std::size_t pop_batch(std::vector<T>& out, std::size_t max_items) {
     ACSEL_CHECK_MSG(max_items >= 1, "batch size must be >= 1");
     std::unique_lock<std::mutex> lock{mu_};
-    cv_.wait(lock, [&] { return closed_ || !items_.empty(); });
+    wait_for_work(lock);
     std::size_t taken = 0;
     while (taken < max_items && !items_.empty()) {
       out.push_back(std::move(items_.front()));
       items_.pop_front();
       ++taken;
     }
+    if (taken > 0) {
+      claim_popped();
+    }
     return taken;
+  }
+
+  /// Claims a slot for work done outside the queue, but only while the
+  /// queue is open and empty and a slot is free; returns whether it did.
+  /// Never blocks.
+  bool try_claim_idle() {
+    std::lock_guard<std::mutex> lock{mu_};
+    if (closed_ || !items_.empty() || busy_ == slots_) {
+      return false;
+    }
+    ++busy_;
+    return true;
+  }
+
+  /// Returns a slot claimed by a pop or by try_claim_idle(); call it once
+  /// per claim. Never throws, so a destructor may call it.
+  void release() {
+    // Notified under the lock: once the last slot is back, wait_idle() may
+    // return and its caller destroy the queue, so nothing here may touch
+    // the queue after unlocking.
+    std::lock_guard<std::mutex> lock{mu_};
+    --busy_;
+    if (!items_.empty()) {
+      cv_.notify_one();  // a consumer may be waiting for this slot
+    }
+    if (busy_ == 0) {
+      idle_cv_.notify_all();
+    }
+  }
+
+  /// Blocks until no slot is claimed.
+  void wait_idle() {
+    std::unique_lock<std::mutex> lock{mu_};
+    idle_cv_.wait(lock, [&] { return busy_ == 0; });
   }
 
   /// Closing rejects future pushes and wakes all poppers; already-queued
@@ -104,10 +158,30 @@ class BoundedQueue {
   }
 
  private:
+  /// Claims the slot of a successful pop. The pop that drains a closed
+  /// queue ends every other consumer's wait, but nothing else would wake
+  /// them: release() only wakes a consumer while items remain.
+  void claim_popped() {
+    ++busy_;
+    if (closed_ && items_.empty()) {
+      cv_.notify_all();
+    }
+  }
+
+  void wait_for_work(std::unique_lock<std::mutex>& lock) {
+    cv_.wait(lock, [&] {
+      return (closed_ && items_.empty()) ||
+             (!items_.empty() && busy_ < slots_);
+    });
+  }
+
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  std::condition_variable cv_;       // consumers waiting for work
+  std::condition_variable idle_cv_;  // wait_idle() callers
   std::deque<T> items_;
   const std::size_t capacity_;
+  const std::size_t slots_;
+  std::size_t busy_ = 0;  // claimed slots
   bool closed_ = false;
 };
 

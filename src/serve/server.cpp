@@ -28,6 +28,17 @@ std::string sample_key(const SelectRequest& request) {
                      bytes.size()};
 }
 
+/// The model a version-keyed request names (0 = current).
+VersionedModel resolve(const ModelRegistry& registry, std::uint64_t version) {
+  if (version == 0) {
+    return registry.current();
+  }
+  VersionedModel entry;
+  entry.version = version;
+  entry.model = registry.get(version);
+  return entry;
+}
+
 }  // namespace
 
 AdaptSink::~AdaptSink() = default;
@@ -90,7 +101,7 @@ Server::Server(ModelRegistry& registry, ServerOptions options)
     : registry_(&registry),
       options_(options),
       breaker_(options.breaker),
-      queue_(options.queue_capacity) {
+      queue_(options.queue_capacity, options.workers) {
   ACSEL_CHECK_MSG(options_.workers >= 1, "server needs >= 1 worker");
   ACSEL_CHECK_MSG(options_.max_batch >= 1, "server needs max_batch >= 1");
   ACSEL_CHECK_MSG(options_.low_priority_admission >= 0.0 &&
@@ -157,12 +168,23 @@ std::future<SelectResponse> Server::submit(SelectRequest request) {
 }
 
 SelectResponse Server::select(SelectRequest request) {
-  return submit(std::move(request)).get();
+  if (!queue_.try_claim_idle()) {
+    return submit(std::move(request)).get();
+  }
+  // Idle server: serve on this thread, holding the claimed slot, so the
+  // request crosses no queue and no promise.
+  struct Release {
+    BoundedQueue<Job>& queue;
+    ~Release() { queue.release(); }
+  } release{queue_};
+  metrics_.on_submitted();
+  metrics_.on_batch(1);
+  return serve_one(request, std::chrono::steady_clock::now(), nullptr);
 }
 
 std::vector<std::uint8_t> Server::serve_frame(
     std::span<const std::uint8_t> frame) {
-  const Decoded decoded = decode_frame(frame);
+  Decoded decoded = decode_frame(frame);
   std::vector<std::uint8_t> out;
   // Adopt the frame's trace context for the duration of the call, and
   // echo it on the response frame so the caller can correlate.
@@ -207,7 +229,7 @@ std::vector<std::uint8_t> Server::serve_frame(
       ACSEL_LOG_WARN("serve_frame: non-request frame rejected");
     }
   } else {
-    response = select(decoded.request);
+    response = select(std::move(decoded.request));
   }
   encode_response(response, out, echo);
   return out;
@@ -220,6 +242,9 @@ void Server::stop() {
       worker.join();
     }
   }
+  // Selections served on their callers' threads hold slots outside the
+  // queue; none may still run once stop() returns.
+  queue_.wait_idle();
 }
 
 ServerMetrics::Snapshot Server::metrics_snapshot() const {
@@ -236,16 +261,10 @@ void Server::worker_loop() {
     }
     ACSEL_OBS_SPAN("serve.batch", "serve");
     metrics_.on_batch(batch.size());
-
-    // Per-batch caches: model resolution per requested version (plus a
-    // separate map per requested fingerprint hash), and the full
-    // prediction per (resolved version, sample pair).
-    std::unordered_map<std::uint64_t, VersionedModel> models;
-    std::unordered_map<std::uint64_t, FingerprintMatch> fp_models;
-    std::unordered_map<std::string, core::Prediction> predictions;
-
+    // A batch of one has nothing to share, so it skips the memo.
+    PredictionMemo memo;
+    PredictionMemo* shared = batch.size() > 1 ? &memo : nullptr;
     for (Job& job : batch) {
-      const SelectRequest& request = job.request;
       // Re-enter the submitter's trace on this worker thread: spans below
       // chain under the caller's span even though the queue was crossed.
       const obs::ScopedTraceContext traced{job.trace};
@@ -264,145 +283,129 @@ void Server::worker_loop() {
                                wait_ns);
       }
 #endif
-      ACSEL_OBS_SPAN("serve.request", "serve");
-      SelectResponse response;
-      response.request_id = request.request_id;
+      job.promise.set_value(serve_one(job.request, job.enqueued, shared));
+    }
+    queue_.release();
+  }
+}
 
-      // Deadline shed: a request that expired while queued is answered,
-      // never served — under overload the pool must not burn worker time
-      // on answers nobody is waiting for anymore.
-      if (options_.request_deadline.count() > 0 &&
-          std::chrono::steady_clock::now() - job.enqueued >
-              options_.request_deadline) {
-        response.status = ResponseStatus::DeadlineExceeded;
-        metrics_.on_deadline_shed();
-        job.promise.set_value(response);
-        continue;
-      }
+SelectResponse Server::serve_one(
+    const SelectRequest& request,
+    std::chrono::steady_clock::time_point enqueued, PredictionMemo* memo) {
+  ACSEL_OBS_SPAN("serve.request", "serve");
+  SelectResponse response;
+  response.request_id = request.request_id;
 
-      // The breaker only guards "serve with the current model" requests;
-      // pinned-version requests asked for that exact model and get it,
-      // and fingerprint-keyed requests have their own fallback chain
-      // (nearest architecture), which a reroute to previous_of() would
-      // silently cross.
-      const bool keyed =
-          request.model_version == 0 && request.fingerprint.has_value();
-      const bool guarded =
-          request.model_version == 0 && !keyed && options_.breaker.enabled;
-      bool feed_breaker = false;
-      try {
-        const VersionedModel* vm = nullptr;
-        if (keyed) {
-          auto fp_resolved = fp_models.find(request.fingerprint->hash);
-          if (fp_resolved == fp_models.end()) {
-            fp_resolved = fp_models
-                              .emplace(request.fingerprint->hash,
-                                       registry_->current_for(
-                                           *request.fingerprint))
-                              .first;
-          }
-          const FingerprintMatch& match = fp_resolved->second;
-          if (!match.exact && match.model.model != nullptr) {
-            // Served, but by another architecture's model — counted per
-            // request (not per resolution), so the counter reflects
-            // traffic, not batch shapes.
-            metrics_.on_model_mismatch();
-          }
-          vm = &match.model;
-        } else {
-          auto resolved = models.find(request.model_version);
-          if (resolved == models.end()) {
-            VersionedModel entry;
-            if (request.model_version == 0) {
-              entry = registry_->current();
-            } else {
-              entry.version = request.model_version;
-              entry.model = registry_->get(request.model_version);
-            }
-            resolved =
-                models.emplace(request.model_version, std::move(entry)).first;
-          }
-          vm = &resolved->second;
-        }
-        if (guarded && vm->model != nullptr) {
-          feed_breaker = breaker_.allow();
-          if (!feed_breaker) {
-            // Open (or probing at quota): reroute to the version
-            // published before the suspect one, when there is one.
-            const VersionedModel previous =
-                registry_->previous_of(vm->version);
-            if (previous.model != nullptr) {
-              vm = &models.emplace(previous.version, previous).first->second;
-              metrics_.on_breaker_rerouted();
-            } else {
-              feed_breaker = true;  // nowhere to go; serve current
-            }
-          }
-        }
-        if (vm->model == nullptr) {
-          response.status = request.model_version == 0
-                                ? ResponseStatus::NoModelPublished
-                                : ResponseStatus::UnknownModelVersion;
-          metrics_.on_error();
-        } else {
-          const auto serve_start = std::chrono::steady_clock::now();
-          const std::string key =
-              std::to_string(vm->version) + '|' + sample_key(request);
-          auto prediction = predictions.find(key);
-          if (prediction == predictions.end()) {
-            prediction =
-                predictions.emplace(key, vm->model->predict(request.samples))
-                    .first;
-          }
-          const core::Scheduler walker{prediction->second,
-                                       options_.scheduler};
-          const core::Scheduler::Choice choice =
-              walker.select_goal(request.goal, request.cap_w);
-          response.status = ResponseStatus::Ok;
-          response.model_version = vm->version;
-          response.config_index =
-              static_cast<std::uint32_t>(choice.config_index);
-          response.predicted_power_w = choice.predicted_power_w;
-          response.predicted_performance = choice.predicted_performance;
-          response.predicted_feasible = choice.predicted_feasible;
-          if (feed_breaker) {
-            const auto served_ns =
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - serve_start)
-                    .count();
-            breaker_.on_success(static_cast<std::uint64_t>(served_ns));
-          }
-        }
-      } catch (const std::exception& error) {
-        // Not only acsel::Error: a predictor throwing std::out_of_range
-        // or std::bad_alloc must still resolve this request, not escape
-        // the worker thread and terminate the process.
-        response.status = ResponseStatus::InternalError;
-        metrics_.on_error();
-        if (feed_breaker) {
-          breaker_.on_failure();
-        }
-        ACSEL_LOG_WARN("serve: request " << request.request_id
-                                         << " failed: " << error.what());
+  // Deadline shed: a request that expired while queued is answered, never
+  // served — under overload the pool must not burn worker time on answers
+  // nobody is waiting for anymore.
+  if (options_.request_deadline.count() > 0 &&
+      std::chrono::steady_clock::now() - enqueued >
+          options_.request_deadline) {
+    response.status = ResponseStatus::DeadlineExceeded;
+    metrics_.on_deadline_shed();
+    return response;
+  }
+
+  // The breaker only guards "serve with the current model" requests;
+  // pinned-version requests asked for that exact model and get it, and
+  // fingerprint-keyed requests have their own fallback chain (nearest
+  // architecture), which a reroute to previous_of() would silently cross.
+  const bool keyed =
+      request.model_version == 0 && request.fingerprint.has_value();
+  const bool guarded =
+      request.model_version == 0 && !keyed && options_.breaker.enabled;
+  bool feed_breaker = false;
+  try {
+    VersionedModel vm;
+    if (keyed) {
+      FingerprintMatch match = registry_->current_for(*request.fingerprint);
+      if (!match.exact && match.model.model != nullptr) {
+        // Served, but by another architecture's model.
+        metrics_.on_model_mismatch();
       }
-      if (response.status == ResponseStatus::Ok) {
-        if (AdaptSink* sink = adapt_sink_.load(std::memory_order_acquire)) {
-          if (sink->on_served(request, response)) {
-            metrics_.on_shadowed();
-          }
+      vm = std::move(match.model);
+    } else {
+      vm = resolve(*registry_, request.model_version);
+    }
+    if (guarded && vm.model != nullptr) {
+      feed_breaker = breaker_.allow();
+      if (!feed_breaker) {
+        // Open (or probing at quota): reroute to the version published
+        // before the suspect one, when there is one.
+        VersionedModel previous = registry_->previous_of(vm.version);
+        if (previous.model != nullptr) {
+          vm = std::move(previous);
+          metrics_.on_breaker_rerouted();
+        } else {
+          feed_breaker = true;  // nowhere to go; serve current
         }
       }
-      const auto now = std::chrono::steady_clock::now();
-      const auto nanos =
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              now - job.enqueued)
-              .count();
-      // Metrics first, promise second: once a client observes its
-      // response, any stats scrape it issues already counts the request.
-      metrics_.on_completed(static_cast<std::uint64_t>(nanos));
-      job.promise.set_value(response);
+    }
+    if (vm.model == nullptr) {
+      response.status = request.model_version == 0
+                            ? ResponseStatus::NoModelPublished
+                            : ResponseStatus::UnknownModelVersion;
+      metrics_.on_error();
+    } else {
+      const auto serve_start = std::chrono::steady_clock::now();
+      core::Prediction own_prediction;
+      const core::Prediction* prediction = &own_prediction;
+      if (memo == nullptr) {
+        own_prediction = vm.model->predict(request.samples);
+      } else {
+        const std::string key =
+            std::to_string(vm.version) + '|' + sample_key(request);
+        auto memoized = memo->find(key);
+        if (memoized == memo->end()) {
+          memoized =
+              memo->emplace(key, vm.model->predict(request.samples)).first;
+        }
+        prediction = &memoized->second;
+      }
+      const core::Scheduler walker{*prediction, options_.scheduler};
+      const core::Scheduler::Choice choice =
+          walker.select_goal(request.goal, request.cap_w);
+      response.status = ResponseStatus::Ok;
+      response.model_version = vm.version;
+      response.config_index = static_cast<std::uint32_t>(choice.config_index);
+      response.predicted_power_w = choice.predicted_power_w;
+      response.predicted_performance = choice.predicted_performance;
+      response.predicted_feasible = choice.predicted_feasible;
+      if (feed_breaker) {
+        const auto served_ns =
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - serve_start)
+                .count();
+        breaker_.on_success(static_cast<std::uint64_t>(served_ns));
+      }
+    }
+  } catch (const std::exception& error) {
+    // Not only acsel::Error: a predictor throwing std::out_of_range or
+    // std::bad_alloc must still resolve this request, not escape the
+    // worker thread and terminate the process.
+    response.status = ResponseStatus::InternalError;
+    metrics_.on_error();
+    if (feed_breaker) {
+      breaker_.on_failure();
+    }
+    ACSEL_LOG_WARN("serve: request " << request.request_id
+                                     << " failed: " << error.what());
+  }
+  if (response.status == ResponseStatus::Ok) {
+    if (AdaptSink* sink = adapt_sink_.load(std::memory_order_acquire)) {
+      if (sink->on_served(request, response)) {
+        metrics_.on_shadowed();
+      }
     }
   }
+  const auto nanos = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                         std::chrono::steady_clock::now() - enqueued)
+                         .count();
+  // Metrics first, completion second: once a client observes its
+  // response, any stats scrape it issues already counts the request.
+  metrics_.on_completed(static_cast<std::uint64_t>(nanos));
+  return response;
 }
 
 }  // namespace acsel::serve

@@ -8,9 +8,16 @@
 // when a cluster-level controller re-evaluates caps fleet-wide — pay for
 // one prediction and many cheap frontier walks.
 //
+// `workers` is also the number of execution slots: a worker holds one per
+// batch, and a synchronous select() that finds the queue empty and a slot
+// free holds one while it serves its request on the calling thread,
+// skipping the queue and the completion hand-off. Either way at most
+// `workers` selections run at once, and one serve_one() body serves them,
+// so both paths answer alike.
+//
 // Model access goes through the ModelRegistry: version 0 requests resolve
-// "current" at processing time, so a publish() hot-swaps the serving model
-// between batches without pausing the pool, and responses always name the
+// "current" as each request is served, so a publish() hot-swaps the
+// serving model without pausing the pool, and responses always name the
 // version that produced them.
 #pragma once
 
@@ -20,9 +27,12 @@
 #include <cstdint>
 #include <future>
 #include <span>
+#include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
+#include "core/predictor.h"
 #include "obs/trace.h"
 #include "serve/breaker.h"
 #include "serve/message.h"
@@ -33,7 +43,8 @@
 namespace acsel::serve {
 
 struct ServerOptions {
-  /// Worker threads draining the queue.
+  /// Worker threads draining the queue, and the most selections served at
+  /// once (queued or inline on select() callers).
   std::size_t workers = 4;
   /// Bounded queue capacity; submissions beyond it are shed.
   std::size_t queue_capacity = 1024;
@@ -76,18 +87,23 @@ class Server {
   /// without queueing).
   std::future<SelectResponse> submit(SelectRequest request);
 
-  /// Convenience synchronous path: submit and wait.
+  /// Synchronous path. When the queue is open and empty and an execution
+  /// slot is free, the request is served on the calling thread; otherwise
+  /// it is submitted and waited for, behind everything already queued.
+  /// The answer is the same either way.
   SelectResponse select(SelectRequest request);
 
   /// Wire-level entry point: decodes one request frame, serves it through
-  /// the queue, and returns the encoded response frame. Malformed input
-  /// yields a MalformedRequest response frame rather than an exception,
-  /// so a socket loop can always answer.
+  /// select() (so inline when the server is idle), and returns the encoded
+  /// response frame. Malformed input yields a MalformedRequest response
+  /// frame rather than an exception, so a socket loop can always answer.
   std::vector<std::uint8_t> serve_frame(
       std::span<const std::uint8_t> frame);
 
-  /// Closes the queue and joins the workers. Idempotent. Submissions
-  /// after stop() are shed.
+  /// Closes the queue, joins the workers once they have drained it, and
+  /// waits out any selection still running on a select() caller, so no
+  /// selection runs once it returns. Idempotent. Submissions and
+  /// selections after stop() are shed.
   void stop();
 
   ServerMetrics::Snapshot metrics_snapshot() const;
@@ -113,8 +129,8 @@ class Server {
   /// canary shadowing. The sink reports its state through registry rows,
   /// so a sink built over stats_registry() shows up in stats scrapes.
   /// The sink must outlive the server or be detached before it dies; it
-  /// is called from worker threads and the serve_frame caller
-  /// concurrently.
+  /// is called concurrently from worker threads, from select() callers
+  /// served inline, and from serve_frame callers.
   void set_adapt_sink(AdaptSink* sink) {
     adapt_sink_.store(sink, std::memory_order_release);
   }
@@ -133,7 +149,19 @@ class Server {
     obs::TraceContext trace;
   };
 
+  /// A batch's shared predictions, keyed by model version and sample pair.
+  using PredictionMemo = std::unordered_map<std::string, core::Prediction>;
+
   void worker_loop();
+
+  /// Serves one request, on a worker or inline on the select() caller:
+  /// deadline shed, model resolve, breaker, predict and walk, adapt
+  /// shadowing, and the completion metrics (recorded before it returns).
+  /// `enqueued` is when the request arrived; `memo` is the batch's cache,
+  /// or nullptr for a batch of one.
+  SelectResponse serve_one(const SelectRequest& request,
+                           std::chrono::steady_clock::time_point enqueued,
+                           PredictionMemo* memo);
 
   ModelRegistry* registry_;
   ServerOptions options_;

@@ -1,15 +1,18 @@
 // Tests for the concurrent configuration-selection service: registry
-// hot-swap/rollback, bounded-queue shedding, the latency histogram, and —
-// the core contract — N worker threads returning byte-identical decisions
-// to the single-threaded reference loop, including across a mid-stream
-// model hot-swap.
+// hot-swap/rollback, bounded-queue shedding, the latency histogram, inline
+// dispatch on an idle server, the batch memo, and — the core contract — N
+// worker threads returning byte-identical decisions to the single-threaded
+// reference loop, including across a mid-stream model hot-swap.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -216,6 +219,99 @@ TEST(ServeQueue, PopBatchTakesAtMostMaxItems) {
   EXPECT_EQ(queue.pop_batch(batch, 3), 3u);
   EXPECT_EQ(batch, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(queue.size(), 2u);
+}
+
+TEST(ServeQueue, IdleClaimsNeedAnOpenEmptyQueueAndAFreeSlot) {
+  BoundedQueue<int> queue{4, 2};
+  ASSERT_TRUE(queue.try_push(1));
+  EXPECT_FALSE(queue.try_claim_idle());  // an item waits; it goes first
+  int out = 0;
+  ASSERT_TRUE(queue.pop(out));           // claims slot 1 of 2
+  EXPECT_TRUE(queue.try_claim_idle());   // empty again: slot 2
+  EXPECT_FALSE(queue.try_claim_idle());  // both slots held
+  queue.release();
+  EXPECT_TRUE(queue.try_claim_idle());
+  queue.release();
+  queue.release();
+  queue.close();
+  EXPECT_FALSE(queue.try_claim_idle());  // closed
+}
+
+TEST(ServeQueue, PopWaitsForAFreeSlot) {
+  BoundedQueue<int> queue{4, 1};
+  ASSERT_TRUE(queue.try_claim_idle());
+  ASSERT_TRUE(queue.try_push(7));
+  std::atomic<bool> popped{false};
+  std::thread consumer{[&] {
+    int out = 0;
+    EXPECT_TRUE(queue.pop(out));
+    EXPECT_EQ(out, 7);
+    popped = true;
+  }};
+  std::this_thread::sleep_for(std::chrono::milliseconds{50});
+  EXPECT_FALSE(popped.load());  // the only slot is held
+  queue.release();
+  consumer.join();
+  EXPECT_TRUE(popped.load());
+  queue.release();
+}
+
+TEST(ServeQueue, WaitIdleBlocksUntilEverySlotIsReleased) {
+  BoundedQueue<int> queue{4, 2};
+  ASSERT_TRUE(queue.try_claim_idle());
+  ASSERT_TRUE(queue.try_claim_idle());
+  std::atomic<bool> idle{false};
+  std::thread waiter{[&] {
+    queue.wait_idle();
+    idle = true;
+  }};
+  queue.release();
+  std::this_thread::sleep_for(std::chrono::milliseconds{50});
+  EXPECT_FALSE(idle.load());  // one slot still held
+  queue.release();
+  waiter.join();
+  EXPECT_TRUE(idle.load());
+}
+
+// Consumers asleep for a slot while the queue is closed must all return
+// once it is drained, although the last pop leaves no item for a release
+// to announce. The pauses let both consumers block before each step.
+TEST(ServeQueue, ClosedQueueWakesEveryConsumerOnceDrained) {
+  auto queue = std::make_shared<BoundedQueue<int>>(8, 2);
+  ASSERT_TRUE(queue->try_claim_idle());
+  ASSERT_TRUE(queue->try_claim_idle());
+  std::vector<std::future<std::size_t>> taken;
+  std::vector<std::thread> consumers;
+  for (int i = 0; i < 2; ++i) {
+    std::promise<std::size_t> promise;
+    taken.push_back(promise.get_future());
+    consumers.emplace_back([queue, promise = std::move(promise)]() mutable {
+      std::vector<int> batch;
+      promise.set_value(queue->pop_batch(batch, 8));
+    });
+  }
+  const auto pause = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds{50});
+  };
+  pause();
+  ASSERT_TRUE(queue->try_push(1));
+  queue->close();
+  pause();
+  queue->release();  // one consumer takes the item, draining the queue
+  pause();
+  queue->release();
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < consumers.size(); ++i) {
+    if (taken[i].wait_for(std::chrono::seconds{5}) ==
+        std::future_status::ready) {
+      total += taken[i].get();
+      consumers[i].join();
+    } else {
+      ADD_FAILURE() << "consumer " << i << " never woke";
+      consumers[i].detach();  // it owns a queue reference; left blocked
+    }
+  }
+  EXPECT_EQ(total, 1u);
 }
 
 // ---- latency histogram -------------------------------------------------
@@ -618,6 +714,319 @@ TEST_F(ServeTest, StatsScrapeMatchesRegistry) {
   const Decoded again = decode_frame(server.serve_frame(frame));
   ASSERT_EQ(again.status, DecodeStatus::Ok);
   EXPECT_EQ(again.stats_response.metrics, decoded.stats_response.metrics);
+}
+
+// ---- inline dispatch and the batch memo --------------------------------
+
+/// Delegates to a real model and records how the server calls it: each
+/// predict() in entry order (which sample pair, on which thread) and the
+/// most calls in flight at once. hold() makes the next predict() block,
+/// once entered, until open() — a test's way to pin a worker or an inline
+/// caller inside a selection. A non-zero `dwell` makes every predict()
+/// sleep that long, so concurrent calls overlap.
+class RecordingPredictor final : public core::Predictor {
+ public:
+  struct Call {
+    double cpu_time_ms = 0.0;  // identifies the sample pair
+    std::thread::id thread;
+  };
+
+  explicit RecordingPredictor(
+      core::PredictorPtr inner,
+      std::chrono::microseconds dwell = std::chrono::microseconds{0})
+      : inner_(std::move(inner)), dwell_(dwell) {}
+  std::string_view kind() const override { return inner_->kind(); }
+  std::size_t cluster_count() const override {
+    return inner_->cluster_count();
+  }
+  const hw::ConfigSpace& config_space() const override {
+    return inner_->config_space();
+  }
+  std::size_t classify(const core::SamplePair& samples) const override {
+    return inner_->classify(samples);
+  }
+  core::Prediction predict(const core::SamplePair& samples) const override {
+    const int in_flight = in_flight_.fetch_add(1) + 1;
+    int most = max_in_flight_.load();
+    while (in_flight > most &&
+           !max_in_flight_.compare_exchange_weak(most, in_flight)) {
+    }
+    {
+      std::unique_lock<std::mutex> lock{mu_};
+      calls_.push_back({samples.cpu.time_ms, std::this_thread::get_id()});
+      if (hold_) {
+        hold_ = false;
+        held_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [&] { return open_; });
+      }
+    }
+    if (dwell_.count() > 0) {
+      std::this_thread::sleep_for(dwell_);
+    }
+    core::Prediction prediction = inner_->predict(samples);
+    in_flight_.fetch_sub(1);
+    return prediction;
+  }
+  std::string serialize_body() const override {
+    return inner_->serialize_body();
+  }
+
+  void hold() {
+    const std::lock_guard<std::mutex> lock{mu_};
+    hold_ = true;
+    held_ = false;
+    open_ = false;
+  }
+  void wait_until_held() {
+    std::unique_lock<std::mutex> lock{mu_};
+    cv_.wait(lock, [&] { return held_; });
+  }
+  void open() {
+    const std::lock_guard<std::mutex> lock{mu_};
+    open_ = true;
+    cv_.notify_all();
+  }
+  bool is_open() const {
+    const std::lock_guard<std::mutex> lock{mu_};
+    return open_;
+  }
+  std::vector<Call> calls() const {
+    const std::lock_guard<std::mutex> lock{mu_};
+    return calls_;
+  }
+  int max_in_flight() const { return max_in_flight_.load(); }
+
+ private:
+  core::PredictorPtr inner_;
+  const std::chrono::microseconds dwell_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable std::vector<Call> calls_;
+  mutable bool hold_ = false;
+  mutable bool held_ = false;
+  mutable bool open_ = true;
+  mutable std::atomic<int> in_flight_{0};
+  mutable std::atomic<int> max_in_flight_{0};
+};
+
+/// Whether `served` encodes to the same bytes as the reference answer.
+bool matches_reference(const SelectResponse& served,
+                       const core::Predictor& model, std::uint64_t version,
+                       const SelectRequest& request) {
+  std::vector<std::uint8_t> served_bytes;
+  std::vector<std::uint8_t> reference_bytes;
+  encode_response(served, served_bytes);
+  encode_response(serve_with_model(model, version, request, {}),
+                  reference_bytes);
+  return served_bytes == reference_bytes;
+}
+
+TEST_F(ServeTest, IdleSelectRunsOnTheCallingThread) {
+  auto recorder = std::make_shared<RecordingPredictor>(model_a_);
+  ModelRegistry registry;
+  const std::uint64_t version = registry.publish(recorder);
+  ServerOptions options;
+  options.workers = 2;
+  Server server{registry, options};
+
+  const SelectRequest request = make_request(1, 11);
+  std::vector<std::uint8_t> frame;
+  encode_request(request, frame);
+  const Decoded reply = decode_frame(server.serve_frame(frame));
+  ASSERT_EQ(reply.status, DecodeStatus::Ok);
+  EXPECT_TRUE(matches_reference(reply.response, *model_a_, version, request));
+  EXPECT_TRUE(matches_reference(server.select(request), *model_a_, version,
+                                request));
+  // submit() keeps its future and its hop to a worker.
+  EXPECT_TRUE(matches_reference(server.submit(request).get(), *model_a_,
+                                version, request));
+
+  const std::vector<RecordingPredictor::Call> calls = recorder->calls();
+  ASSERT_EQ(calls.size(), 3u);
+  EXPECT_EQ(calls[0].thread, std::this_thread::get_id());  // serve_frame
+  EXPECT_EQ(calls[1].thread, std::this_thread::get_id());  // select
+  EXPECT_NE(calls[2].thread, std::this_thread::get_id());  // submit
+  const auto snapshot = server.metrics_snapshot();
+  EXPECT_EQ(snapshot.submitted, 3u);
+  EXPECT_EQ(snapshot.completed, 3u);
+}
+
+TEST_F(ServeTest, InlineSelectionsNeverExceedTheWorkerCount) {
+  // Each predict() sleeps, so with all eight callers released at once
+  // selections would pile up past the two slots if nothing bounded them.
+  auto recorder = std::make_shared<RecordingPredictor>(
+      model_a_, std::chrono::microseconds{50});
+  ModelRegistry registry;
+  const std::uint64_t version = registry.publish(recorder);
+  ServerOptions options;
+  options.workers = 2;
+  Server server{registry, options};
+
+  constexpr std::size_t kThreads = 8;
+  constexpr std::uint64_t kPerThread = 200;
+  std::vector<std::vector<SelectResponse>> responses(kThreads);
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ++ready;
+      while (ready.load() < kThreads) {
+        std::this_thread::yield();
+      }
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        responses[t].push_back(
+            server.select(make_request(t * kPerThread + i, 13)));
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+
+  EXPECT_GE(recorder->max_in_flight(), 1);
+  EXPECT_LE(recorder->max_in_flight(), 2);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(responses[t].size(), kPerThread);
+    for (std::uint64_t i = 0; i < kPerThread; ++i) {
+      const SelectResponse& response = responses[t][i];
+      ASSERT_EQ(response.status, ResponseStatus::Ok);
+      ASSERT_TRUE(matches_reference(response, *model_a_, version,
+                                    make_request(t * kPerThread + i, 13)))
+          << "request " << response.request_id;
+    }
+  }
+  EXPECT_EQ(server.metrics_snapshot().completed, kThreads * kPerThread);
+}
+
+TEST_F(ServeTest, SelectNeverOvertakesQueuedWork) {
+  auto recorder = std::make_shared<RecordingPredictor>(model_a_);
+  ModelRegistry registry;
+  registry.publish(recorder);
+  ServerOptions options;
+  options.workers = 1;
+  Server server{registry, options};
+
+  SelectRequest held = make_request(1, 0);
+  SelectRequest queued = make_request(2, 0);
+  SelectRequest late = make_request(3, 0);
+  held.samples = (*characterizations_)[0].samples;
+  queued.samples = (*characterizations_)[1].samples;
+  late.samples = (*characterizations_)[2].samples;
+  const double held_id = held.samples.cpu.time_ms;
+  const double queued_id = queued.samples.cpu.time_ms;
+  const double late_id = late.samples.cpu.time_ms;
+  ASSERT_NE(held_id, queued_id);
+  ASSERT_NE(queued_id, late_id);
+  ASSERT_NE(held_id, late_id);
+
+  // The worker is pinned inside predict(), and one request waits behind it.
+  recorder->hold();
+  std::future<SelectResponse> held_future = server.submit(held);
+  recorder->wait_until_held();
+  std::future<SelectResponse> queued_future = server.submit(queued);
+  SelectResponse late_response;
+  std::thread caller{[&] { late_response = server.select(late); }};
+  while (server.metrics_snapshot().queue_depth < 2) {
+    std::this_thread::yield();  // the select() queued behind `queued`
+  }
+  recorder->open();
+  caller.join();
+
+  EXPECT_EQ(held_future.get().status, ResponseStatus::Ok);
+  EXPECT_EQ(queued_future.get().status, ResponseStatus::Ok);
+  EXPECT_EQ(late_response.status, ResponseStatus::Ok);
+  const std::vector<RecordingPredictor::Call> calls = recorder->calls();
+  ASSERT_EQ(calls.size(), 3u);
+  EXPECT_EQ(calls[0].cpu_time_ms, held_id);
+  EXPECT_EQ(calls[1].cpu_time_ms, queued_id);
+  EXPECT_EQ(calls[2].cpu_time_ms, late_id);
+}
+
+TEST_F(ServeTest, StopWaitsForAnInlineSelection) {
+  auto recorder = std::make_shared<RecordingPredictor>(model_a_);
+  ModelRegistry registry;
+  registry.publish(recorder);
+  ServerOptions options;
+  options.workers = 1;
+  Server server{registry, options};
+
+  recorder->hold();
+  SelectResponse response;
+  std::thread caller{[&] { response = server.select(make_request(1, 17)); }};
+  recorder->wait_until_held();
+  const std::vector<RecordingPredictor::Call> calls = recorder->calls();
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0].thread, caller.get_id());  // served inline
+
+  std::atomic<bool> stopped{false};
+  bool open_when_stopped = false;
+  std::thread stopper{[&] {
+    server.stop();
+    open_when_stopped = recorder->is_open();
+    stopped = true;
+  }};
+  std::this_thread::sleep_for(std::chrono::milliseconds{50});
+  EXPECT_FALSE(stopped.load());
+  recorder->open();
+  stopper.join();
+  caller.join();
+
+  EXPECT_TRUE(open_when_stopped);
+  EXPECT_EQ(response.status, ResponseStatus::Ok);
+  EXPECT_EQ(server.select(make_request(2, 17)).status, ResponseStatus::Shed);
+  server.stop();  // idempotent
+}
+
+TEST_F(ServeTest, BatchMemoPredictsOncePerDistinctSamplePair) {
+  auto recorder = std::make_shared<RecordingPredictor>(model_a_);
+  ModelRegistry registry;
+  const std::uint64_t version = registry.publish(recorder);
+  ServerOptions options;
+  options.workers = 1;
+  Server server{registry, options};
+
+  // Two sample pairs, and a third that differs from the first only in the
+  // sign of a zero counter: bitwise distinct, so it must not share.
+  core::SamplePair first = (*characterizations_)[0].samples;
+  first.cpu.counters.interrupts = 0.0;
+  core::SamplePair second = (*characterizations_)[1].samples;
+  core::SamplePair signed_zero = first;
+  signed_zero.cpu.counters.interrupts = -0.0;
+
+  recorder->hold();
+  SelectRequest holder = make_request(1, 0);
+  holder.samples = (*characterizations_)[2].samples;
+  std::future<SelectResponse> held = server.submit(holder);
+  recorder->wait_until_held();
+
+  // Queued behind the held worker, so they drain as one batch.
+  std::vector<std::pair<SelectRequest, std::future<SelectResponse>>> batch;
+  std::uint64_t id = 2;
+  for (const double cap : {18.0, 22.0, 30.0, 40.0}) {
+    for (const core::SamplePair* samples : {&first, &second}) {
+      SelectRequest request = make_request(id++, 0);
+      request.samples = *samples;
+      request.cap_w = cap;
+      batch.emplace_back(request, server.submit(request));
+    }
+  }
+  SelectRequest request = make_request(id, 0);
+  request.samples = signed_zero;
+  request.cap_w = 26.0;
+  batch.emplace_back(request, server.submit(request));
+  recorder->open();
+
+  EXPECT_EQ(held.get().status, ResponseStatus::Ok);
+  for (auto& [queued, future] : batch) {
+    const SelectResponse response = future.get();
+    ASSERT_EQ(response.status, ResponseStatus::Ok);
+    EXPECT_TRUE(matches_reference(response, *model_a_, version, queued))
+        << "request " << queued.request_id;
+  }
+  // The holder's predict() plus one per distinct sample pair.
+  EXPECT_EQ(recorder->calls().size(), 1u + 3u);
+  EXPECT_EQ(server.metrics_snapshot().batches, 2u);
 }
 
 }  // namespace
