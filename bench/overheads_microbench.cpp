@@ -28,6 +28,7 @@ using namespace acsel;
 struct Offline {
   std::vector<core::KernelCharacterization> characterizations;
   core::TrainedModel model;
+  core::PredictorPtr gp;
   core::Prediction prediction;
 
   Offline() {
@@ -35,6 +36,10 @@ struct Offline {
     const auto suite = workloads::Suite::standard();
     characterizations = eval::characterize(machine, suite);
     model = core::train(characterizations).model;
+    core::TrainerOptions gp_options;
+    gp_options.predictor = core::PredictorKind::GaussianProcess;
+    gp_options.gp_max_rows = 256;
+    gp = core::train_predictor(characterizations, gp_options).predictor;
     prediction = model.predict(characterizations.front().samples);
   }
 };
@@ -53,6 +58,17 @@ void BM_OnlinePredictionFullPipeline(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OnlinePredictionFullPipeline);
+
+void BM_GpPredictionFullPipeline(benchmark::State& state) {
+  // The same online pipeline under the gp-sqexp predictor: 54 power
+  // posteriors solved in one block against a Cholesky factor of up to
+  // 256 rows, plus the tabulated performance posteriors.
+  const auto& samples = offline().characterizations[7].samples;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(offline().gp->predict(samples));
+  }
+}
+BENCHMARK(BM_GpPredictionFullPipeline);
 
 void BM_TreeClassification(benchmark::State& state) {
   const auto& samples = offline().characterizations[3].samples;

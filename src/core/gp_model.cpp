@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "core/features.h"
@@ -12,6 +13,25 @@
 namespace acsel::core {
 
 namespace {
+
+/// Two doubles as one vector register (GCC/Clang vector extension).
+/// Arithmetic on it is lane-wise: each lane gets exactly the scalar
+/// operation, so pairing columns changes no result bit.
+using DoublePair = double __attribute__((vector_size(16)));
+
+DoublePair load_pair(const double* p) {
+  DoublePair v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store_pair(double* p, DoublePair v) { std::memcpy(p, &v, sizeof v); }
+
+DoublePair splat(double x) { return DoublePair{x, x}; }
+
+/// Columns per tile of the blocked forward solve: the four register
+/// pairs its inner loop keeps.
+constexpr std::size_t kTileColumns = 8;
 
 double squared_distance(std::span<const double> a, std::span<const double> b) {
   double sum = 0.0;
@@ -103,16 +123,18 @@ void GpRegressor::finalize() {
   for (const double v : y_) y_mean_ += v;
   y_mean_ /= static_cast<double>(n);
 
+  // Only the lower triangle: it is all the factorization reads.
   linalg::Matrix k{n, n};
   const double inv_2l2 = 1.0 / (2.0 * length_scale_ * length_scale_);
+  const std::size_t d = x_.cols();
+  const double* const x = x_.data().data();
   for (std::size_t i = 0; i < n; ++i) {
-    k(i, i) = signal_variance_ + noise_variance_;
+    const std::span<double> ki = k.row(i);
+    const std::span<const double> xi{x + i * d, d};
+    ki[i] = signal_variance_ + noise_variance_;
     for (std::size_t j = 0; j < i; ++j) {
-      const double v = signal_variance_ *
-                       std::exp(-squared_distance(x_.row(i), x_.row(j)) *
-                                inv_2l2);
-      k(i, j) = v;
-      k(j, i) = v;
+      ki[j] = signal_variance_ *
+              std::exp(-squared_distance(xi, {x + j * d, d}) * inv_2l2);
     }
   }
   const linalg::CholeskyFactorization chol{k};
@@ -126,33 +148,84 @@ void GpRegressor::finalize() {
 
 GpRegressor::MeanVariance GpRegressor::predict(
     std::span<const double> features) const {
+  linalg::Matrix point{1, features.size()};
+  std::copy(features.begin(), features.end(), point.row(0).begin());
+  return predict_rows(point).front();
+}
+
+std::vector<GpRegressor::MeanVariance> GpRegressor::predict_rows(
+    const linalg::Matrix& points) const {
   ACSEL_CHECK_MSG(!y_.empty(), "GpRegressor::predict before fit/parse");
-  ACSEL_CHECK_MSG(features.size() == x_.cols(),
+  ACSEL_CHECK_MSG(points.cols() == x_.cols(),
                   "GpRegressor::predict: feature count mismatch");
   const std::size_t n = y_.size();
+  const std::size_t d = x_.cols();
+  const std::size_t m = points.rows();
   const double inv_2l2 = 1.0 / (2.0 * length_scale_ * length_scale_);
-  std::vector<double> k_star(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    k_star[i] = signal_variance_ *
-                std::exp(-squared_distance(x_.row(i), features) * inv_2l2);
-  }
+  const double* const x = x_.data().data();
 
-  MeanVariance out;
-  out.mean = y_mean_ + linalg::dot(k_star, alpha_);
+  // Row i of the n × stride block holds k(x_i, point c) in column c.
+  // Every column is summed in i order from 0.0, as linalg::dot sums, so
+  // each mean and variance below is bitwise the single-point result.
+  // The stride pads the columns to whole tiles of the solve below (the
+  // padding columns stay 0).
+  const std::size_t stride = (m + kTileColumns - 1) / kTileColumns *
+                             kTileColumns;
+  std::vector<double> block(n * stride);
+  std::vector<MeanVariance> out(m);
+  for (std::size_t c = 0; c < m; ++c) {
+    const std::span<const double> point = points.row(c);
+    double mean = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double k =
+          signal_variance_ *
+          std::exp(-squared_distance({x + i * d, d}, point) * inv_2l2);
+      block[i * stride + c] = k;
+      mean += k * alpha_[i];
+    }
+    out[c].mean = y_mean_ + mean;
+  }
 
   // var = k(x*,x*) + noise - |L⁻¹ k*|² — the posterior shrinks toward the
   // noise floor at training points and opens to signal + noise far away.
-  std::vector<double> v(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double sum = k_star[i];
-    for (std::size_t j = 0; j < i; ++j) {
-      sum -= l_(i, j) * v[j];
+  // The forward solve overwrites the block with v = L⁻¹ k*, one tile of
+  // 8 columns at a time: the tile's n rows stay in L1 cache, and row i
+  // of the tile stays in four registers while it takes its updates from
+  // rows 0..i-1. Each column still takes them one subtraction at a time
+  // in j order, then its division, exactly as a single-column solve
+  // does; the factor is read once per tile, not once per column.
+  std::vector<double> reduction(stride, 0.0);
+  for (std::size_t c0 = 0; c0 < stride; c0 += kTileColumns) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::span<const double> li = l_.row(i);
+      double* const vi = block.data() + i * stride + c0;
+      DoublePair v0 = load_pair(vi);
+      DoublePair v1 = load_pair(vi + 2);
+      DoublePair v2 = load_pair(vi + 4);
+      DoublePair v3 = load_pair(vi + 6);
+      for (std::size_t j = 0; j < i; ++j) {
+        const DoublePair lij = splat(li[j]);
+        const double* const vj = block.data() + j * stride + c0;
+        v0 -= lij * load_pair(vj);
+        v1 -= lij * load_pair(vj + 2);
+        v2 -= lij * load_pair(vj + 4);
+        v3 -= lij * load_pair(vj + 6);
+      }
+      const DoublePair lii = splat(li[i]);
+      store_pair(vi, v0 / lii);
+      store_pair(vi + 2, v1 / lii);
+      store_pair(vi + 4, v2 / lii);
+      store_pair(vi + 6, v3 / lii);
+      for (std::size_t c = 0; c < kTileColumns; ++c) {
+        reduction[c0 + c] += vi[c] * vi[c];
+      }
     }
-    v[i] = sum / l_(i, i);
   }
-  const double reduction = linalg::dot(v, v);
-  out.variance =
-      std::max(0.0, signal_variance_ + noise_variance_ - reduction);
+
+  for (std::size_t c = 0; c < m; ++c) {
+    out[c].variance =
+        std::max(0.0, signal_variance_ + noise_variance_ - reduction[c]);
+  }
   return out;
 }
 
@@ -187,7 +260,11 @@ GpRegressor GpRegressor::parse(const std::string& line) {
   ACSEL_CHECK_MSG(gp.length_scale_ > 0.0 && gp.signal_variance_ > 0.0 &&
                       gp.noise_variance_ > 0.0,
                   "GpRegressor::parse: non-positive hyperparameter");
-  ACSEL_CHECK_MSG(fields.size() == 5 + n * d + n,
+  // n rows of d inputs plus n targets, checked without overflow so a
+  // shape the line does not hold never reaches the allocator.
+  const std::size_t values = fields.size() - 5;
+  ACSEL_CHECK_MSG(d < values && values % (d + 1) == 0 &&
+                      values / (d + 1) == n,
                   "GpRegressor::parse: field count mismatch");
   gp.x_ = linalg::Matrix{n, d};
   std::size_t f = 5;
@@ -211,6 +288,44 @@ GpPredictor::GpPredictor(std::vector<ClusterSurrogate> clusters,
   ACSEL_CHECK_MSG(tree_.feature_count() ==
                       classification_feature_names().size(),
                   "tree feature count mismatch");
+  const std::size_t perf_d = perf_feature_names().size();
+  for (const ClusterSurrogate& surrogate : clusters_) {
+    ACSEL_CHECK_MSG(
+        surrogate.power.feature_count() == power_feature_names().size() &&
+            surrogate.perf_cpu.feature_count() == perf_d &&
+            surrogate.perf_gpu.feature_count() == perf_d,
+        "GP feature count mismatch");
+  }
+
+  // One batched pass per (cluster, device) over that device's
+  // configurations fills the performance table.
+  const std::size_t n = space_.size();
+  perf_table_.resize(clusters_.size() * n);
+  for (const hw::Device device : {hw::Device::Cpu, hw::Device::Gpu}) {
+    std::vector<std::size_t> indices;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (space_.at(i).device == device) {
+        indices.push_back(i);
+      }
+    }
+    linalg::Matrix points{indices.size(), perf_d};
+    for (std::size_t r = 0; r < indices.size(); ++r) {
+      const std::vector<double> features = perf_features(space_.at(indices[r]));
+      std::copy(features.begin(), features.end(), points.row(r).begin());
+    }
+    for (std::size_t c = 0; c < clusters_.size(); ++c) {
+      const GpRegressor& gp = device == hw::Device::Gpu
+                                  ? clusters_[c].perf_gpu
+                                  : clusters_[c].perf_cpu;
+      const std::vector<GpRegressor::MeanVariance> posteriors =
+          gp.predict_rows(points);
+      for (std::size_t r = 0; r < indices.size(); ++r) {
+        perf_table_[c * n + indices[r]] = {
+            std::max(1e-6, posteriors[r].mean),
+            std::sqrt(posteriors[r].variance)};
+      }
+    }
+  }
 }
 
 const GpPredictor::ClusterSurrogate& GpPredictor::cluster(
@@ -231,30 +346,30 @@ Prediction GpPredictor::predict(const SamplePair& samples) const {
   ACSEL_OBS_SPAN("predict", "model");
   Prediction prediction;
   prediction.cluster = classify(samples);
-  const ClusterSurrogate& surrogate = clusters_[prediction.cluster];
 
   const std::size_t n = space_.size();
+  linalg::Matrix points{n, power_feature_names().size()};
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::vector<double> features = power_features(space_.at(i), samples);
+    std::copy(features.begin(), features.end(), points.row(i).begin());
+  }
+  const std::vector<GpRegressor::MeanVariance> power_mv =
+      clusters_[prediction.cluster].power.predict_rows(points);
+  const PerfRow* const perf_rows = perf_table_.data() + prediction.cluster * n;
+  const double s_perf_cpu = samples.cpu.performance();
+  const double s_perf_gpu = samples.gpu.performance();
+
   prediction.per_config.reserve(n);
   std::vector<double> power(n);
   std::vector<double> perf(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const hw::Configuration& config = space_.at(i);
-
-    const auto power_mv =
-        surrogate.power.predict(power_features(config, samples));
-    Estimate estimate;
-    estimate.power_w = std::max(1.0, power_mv.mean);
-    estimate.power_sigma = std::sqrt(power_mv.variance);
-
-    const bool on_gpu = config.device == hw::Device::Gpu;
-    const GpRegressor& perf_gp =
-        on_gpu ? surrogate.perf_gpu : surrogate.perf_cpu;
     const double s_perf =
-        on_gpu ? samples.gpu.performance() : samples.cpu.performance();
-    const auto perf_mv = perf_gp.predict(perf_features(config));
-    const double ratio = std::max(1e-6, perf_mv.mean);
-    estimate.performance = ratio * s_perf;
-    estimate.performance_sigma = std::sqrt(perf_mv.variance) * s_perf;
+        space_.at(i).device == hw::Device::Gpu ? s_perf_gpu : s_perf_cpu;
+    Estimate estimate;
+    estimate.power_w = std::max(1.0, power_mv[i].mean);
+    estimate.power_sigma = std::sqrt(power_mv[i].variance);
+    estimate.performance = perf_rows[i].ratio * s_perf;
+    estimate.performance_sigma = perf_rows[i].sigma * s_perf;
 
     power[i] = estimate.power_w;
     perf[i] = estimate.performance;
@@ -287,7 +402,6 @@ GpPredictor parse_gp_body(std::istringstream& is) {
   ACSEL_CHECK_MSG(k >= 1, "model must have >= 1 cluster");
 
   std::vector<GpPredictor::ClusterSurrogate> clusters;
-  clusters.reserve(k);
   for (std::size_t c = 0; c < k; ++c) {
     GpPredictor::ClusterSurrogate surrogate;
     GpRegressor* const gps[3] = {&surrogate.power, &surrogate.perf_cpu,

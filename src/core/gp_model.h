@@ -39,6 +39,8 @@ struct GpHyperparams {
 
 /// One scalar GP regression: constant-mean prior (the training-target
 /// mean), k(a,b) = s² exp(-|a-b|² / 2ℓ²), exact posterior via Cholesky.
+/// Posteriors are evaluated in blocks: predict_rows() solves any number
+/// of query points together, and predict() is its one-row case.
 class GpRegressor {
  public:
   GpRegressor() = default;
@@ -59,6 +61,13 @@ class GpRegressor {
 
   /// Posterior at one feature vector (length == feature_count()).
   MeanVariance predict(std::span<const double> features) const;
+
+  /// Posteriors at every row of `points` (cols == feature_count()), in
+  /// row order. One forward solve runs over an n × rows block in tiles
+  /// of 8 columns, reading the factor once per tile rather than once
+  /// per point; each column keeps the operation order of a single-point
+  /// solve, so row r is bitwise equal to predict(row r).
+  std::vector<MeanVariance> predict_rows(const linalg::Matrix& points) const;
 
   std::size_t training_rows() const { return x_.rows(); }
   std::size_t feature_count() const { return x_.cols(); }
@@ -92,6 +101,14 @@ class GpRegressor {
 /// cluster assignment problem is unchanged) with three GP posteriors per
 /// cluster — absolute power over power_features, and per-device relative
 /// performance over perf_features.
+///
+/// The performance posteriors see the configuration only, so the
+/// constructor (which train() and both parse paths go through)
+/// tabulates them per (cluster, configuration), one predict_rows() call
+/// per (cluster, device). predict() then solves only the 54 power
+/// posteriors, in one predict_rows() call, and scales the table rows by
+/// the sample performance; its answers are bitwise those of per-point
+/// posteriors.
 class GpPredictor final : public Predictor {
  public:
   /// Envelope tag of this family.
@@ -104,6 +121,8 @@ class GpPredictor final : public Predictor {
   };
 
   GpPredictor() = default;
+  /// Throws acsel::Error when a GP's feature count does not match its
+  /// feature builder (power_features / perf_features).
   GpPredictor(std::vector<ClusterSurrogate> clusters, stats::Cart tree);
 
   std::string_view kind() const override { return kKind; }
@@ -122,9 +141,18 @@ class GpPredictor final : public Predictor {
                                    const std::string& body);
 
  private:
+  /// Tabulated performance posterior of one (cluster, configuration),
+  /// per unit of sample performance.
+  struct PerfRow {
+    double ratio = 0.0;  ///< max(1e-6, posterior mean)
+    double sigma = 0.0;  ///< sqrt(posterior variance)
+  };
+
   std::vector<ClusterSurrogate> clusters_;
   stats::Cart tree_;
   hw::ConfigSpace space_;
+  /// cluster-major: row (c, i) at c * space_.size() + i.
+  std::vector<PerfRow> perf_table_;
 };
 
 }  // namespace acsel::core

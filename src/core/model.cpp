@@ -138,7 +138,6 @@ TrainedModel parse_body(std::istringstream& is) {
   ACSEL_CHECK_MSG(k >= 1, "model must have >= 1 cluster");
 
   std::vector<ClusterModel> clusters;
-  clusters.reserve(k);
   for (std::size_t c = 0; c < k; ++c) {
     std::string block;
     for (int i = 0; i < 3; ++i) {

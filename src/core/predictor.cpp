@@ -116,8 +116,10 @@ PredictorPtr parse_predictor(const std::string& text) {
       throw PredictorFormatError{"malformed predictor envelope: " + header};
     }
     kind = fields[1];
-    version = static_cast<std::uint32_t>(
-        parse_size(std::string_view{fields[2]}.substr(1)));
+    // Clamped, so a version past 32 bits reads as newer than supported
+    // rather than wrapping onto a supported one.
+    version = static_cast<std::uint32_t>(std::min<std::size_t>(
+        parse_size(std::string_view{fields[2]}.substr(1)), UINT32_MAX));
   } else {
     throw PredictorFormatError{"unknown model format"};
   }

@@ -316,12 +316,12 @@ Cart Cart::parse(const std::string& text) {
   ACSEL_CHECK_MSG(head.size() == 5 + n_names, "Cart::parse: name count");
   tree.feature_names_.assign(head.begin() + 5, head.end());
 
-  tree.nodes_.reserve(n_nodes);
+  // No reserve: n_nodes is only a claim until the lines are read.
   for (std::size_t i = 0; i < n_nodes; ++i) {
     ACSEL_CHECK_MSG(static_cast<bool>(std::getline(is, line)),
                     "Cart::parse: truncated node list");
     const auto f = split(std::string_view{line}, ' ');
-    ACSEL_CHECK_MSG(f.size() == 6 + tree.n_classes_,
+    ACSEL_CHECK_MSG(f.size() >= 6 && f.size() - 6 == tree.n_classes_,
                     "Cart::parse: malformed node line");
     Node node;
     node.leaf = parse_size(f[0]) != 0;
@@ -336,11 +336,17 @@ Cart Cart::parse(const std::string& text) {
     }
     tree.nodes_.push_back(std::move(node));
   }
-  for (const Node& node : tree.nodes_) {
+  // fit() appends both children after their parent, so children index
+  // forward: walk() then always reaches a leaf, and its feature reads
+  // stay inside the feature vector.
+  for (std::size_t i = 0; i < tree.nodes_.size(); ++i) {
+    const Node& node = tree.nodes_[i];
     if (!node.leaf) {
-      ACSEL_CHECK_MSG(node.left < tree.nodes_.size() &&
-                          node.right < tree.nodes_.size(),
+      ACSEL_CHECK_MSG(i < node.left && node.left < tree.nodes_.size() &&
+                          i < node.right && node.right < tree.nodes_.size(),
                       "Cart::parse: child index out of range");
+      ACSEL_CHECK_MSG(node.feature < tree.n_features_,
+                      "Cart::parse: feature index out of range");
     }
   }
   return tree;

@@ -1,6 +1,8 @@
 // Tests for the offline trainer and the trained model's online path:
 // clustering, regression quality, classification, prediction, and
-// serialization. One shared characterization pass keeps the suite fast.
+// serialization, plus the gp-sqexp predictor's bitwise agreement with
+// per-configuration posteriors. One shared characterization pass keeps
+// the suite fast.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +10,7 @@
 #include <cstring>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,8 +18,11 @@
 #include "core/trainer.h"
 #include "eval/characterize.h"
 #include "hw/config_space.h"
+#include "linalg/cholesky.h"
+#include "pareto/frontier.h"
 #include "soc/machine.h"
 #include "util/error.h"
+#include "util/strings.h"
 #include "workloads/suite.h"
 
 namespace acsel::core {
@@ -248,29 +254,34 @@ ReferencePrediction reference_predict(const TrainedModel& model,
   return out;
 }
 
+void expect_bitwise_equal(const Prediction& got,
+                          const ReferencePrediction& want,
+                          const std::string& label) {
+  ASSERT_EQ(got.cluster, want.cluster) << label;
+  ASSERT_EQ(got.per_config.size(), want.per_config.size()) << label;
+  for (std::size_t i = 0; i < want.per_config.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&got.per_config[i], &want.per_config[i],
+                          sizeof(Estimate)),
+              0)
+        << label << " config " << i;
+  }
+  ASSERT_EQ(got.frontier.size(), want.frontier.size()) << label;
+  for (std::size_t p = 0; p < want.frontier.size(); ++p) {
+    EXPECT_EQ(std::memcmp(&got.frontier.points()[p], &want.frontier[p],
+                          sizeof(pareto::FrontierPoint)),
+              0)
+        << label << " frontier point " << p;
+  }
+}
+
 void expect_matches_reference_bitwise(
     const TrainedModel& model,
     const std::vector<KernelCharacterization>& characterizations,
     const std::string& label) {
   for (const auto& c : characterizations) {
-    const Prediction got = model.predict(c.samples);
-    const ReferencePrediction want = reference_predict(model, c.samples);
-    ASSERT_EQ(got.cluster, want.cluster) << label << ' ' << c.instance_id;
-    ASSERT_EQ(got.per_config.size(), want.per_config.size());
-    for (std::size_t i = 0; i < want.per_config.size(); ++i) {
-      EXPECT_EQ(std::memcmp(&got.per_config[i], &want.per_config[i],
-                            sizeof(Estimate)),
-                0)
-          << label << ' ' << c.instance_id << " config " << i;
-    }
-    ASSERT_EQ(got.frontier.size(), want.frontier.size())
-        << label << ' ' << c.instance_id;
-    for (std::size_t p = 0; p < want.frontier.size(); ++p) {
-      EXPECT_EQ(std::memcmp(&got.frontier.points()[p], &want.frontier[p],
-                            sizeof(pareto::FrontierPoint)),
-                0)
-          << label << ' ' << c.instance_id << " frontier point " << p;
-    }
+    expect_bitwise_equal(model.predict(c.samples),
+                         reference_predict(model, c.samples),
+                         label + ' ' + c.instance_id);
   }
 }
 
@@ -339,6 +350,214 @@ TEST_F(ModelTest, SingleClusterModelStillWorks) {
   EXPECT_DOUBLE_EQ(report.tree_training_accuracy, 1.0);  // trivial tree
   const auto& c = characterization("SMC-Default/ChemistryRates");
   EXPECT_EQ(model.classify(c.samples), 0u);
+}
+
+
+// ------------------------------------------------------ gp-sqexp model --
+
+class GpPredictorTest : public ModelTest {
+ protected:
+  static void SetUpTestSuite() {
+    ModelTest::SetUpTestSuite();
+    TrainerOptions options;
+    options.predictor = PredictorKind::GaussianProcess;
+    gp_ = std::dynamic_pointer_cast<const GpPredictor>(
+        train_predictor(*characterizations_, options).predictor);
+  }
+
+  static void TearDownTestSuite() {
+    gp_.reset();
+    ModelTest::TearDownTestSuite();
+  }
+
+  static std::shared_ptr<const GpPredictor> gp_;
+};
+
+std::shared_ptr<const GpPredictor> GpPredictorTest::gp_;
+
+double squared_distance(std::span<const double> a, std::span<const double> b) {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double d = a[i] - b[i];
+    sum += d * d;
+  }
+  return sum;
+}
+
+// One GP's posterior as a single-point scalar solve computes it, rebuilt
+// from the GP's serialized line: kernel matrix, Cholesky factor and dual
+// weights as fitting derives them, then one forward solve per point.
+// GpRegressor::predict shares predict_rows' solve, so this is the
+// reference that a change in the solve's operation order cannot move
+// along with it.
+class ReferenceGp {
+ public:
+  explicit ReferenceGp(const GpRegressor& gp) {
+    const std::vector<std::string> fields = split(gp.serialize(), ' ');
+    const std::size_t n = parse_size(fields[0]);
+    const std::size_t d = parse_size(fields[1]);
+    length_scale_ = parse_double(fields[2]);
+    signal_variance_ = parse_double(fields[3]);
+    noise_variance_ = parse_double(fields[4]);
+    x_ = linalg::Matrix{n, d};
+    std::size_t f = 5;
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < d; ++c) {
+        x_(r, c) = parse_double(fields[f++]);
+      }
+    }
+    std::vector<double> y;
+    for (std::size_t i = 0; i < n; ++i) {
+      y.push_back(parse_double(fields[f++]));
+    }
+    for (const double v : y) y_mean_ += v;
+    y_mean_ /= static_cast<double>(n);
+
+    linalg::Matrix k{n, n};
+    for (std::size_t i = 0; i < n; ++i) {
+      k(i, i) = signal_variance_ + noise_variance_;
+      for (std::size_t j = 0; j < i; ++j) {
+        k(i, j) = kernel(x_.row(i), x_.row(j));
+        k(j, i) = k(i, j);
+      }
+    }
+    const linalg::CholeskyFactorization chol{k};
+    l_ = chol.l();
+    std::vector<double> centered;
+    for (const double v : y) centered.push_back(v - y_mean_);
+    alpha_ = chol.solve(centered);
+  }
+
+  GpRegressor::MeanVariance posterior(std::span<const double> point) const {
+    const std::size_t n = x_.rows();
+    std::vector<double> k_star(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      k_star[i] = kernel(x_.row(i), point);
+    }
+    GpRegressor::MeanVariance out;
+    out.mean = y_mean_ + linalg::dot(k_star, alpha_);
+    std::vector<double> v(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      double sum = k_star[i];
+      for (std::size_t j = 0; j < i; ++j) {
+        sum -= l_(i, j) * v[j];
+      }
+      v[i] = sum / l_(i, i);
+    }
+    out.variance = std::max(
+        0.0, signal_variance_ + noise_variance_ - linalg::dot(v, v));
+    return out;
+  }
+
+ private:
+  double kernel(std::span<const double> a, std::span<const double> b) const {
+    const double inv_2l2 = 1.0 / (2.0 * length_scale_ * length_scale_);
+    return signal_variance_ * std::exp(-squared_distance(a, b) * inv_2l2);
+  }
+
+  double length_scale_ = 0.0;
+  double signal_variance_ = 0.0;
+  double noise_variance_ = 0.0;
+  double y_mean_ = 0.0;
+  linalg::Matrix x_;
+  linalg::Matrix l_;
+  std::vector<double> alpha_;
+};
+
+// The per-configuration composition predict() had before it tabulated
+// the performance posteriors and batched the power ones.
+ReferencePrediction reference_gp_predict(const GpPredictor& model,
+                                         const std::vector<ReferenceGp>& gps,
+                                         const SamplePair& samples) {
+  ReferencePrediction out;
+  out.cluster = model.classify(samples);
+  const hw::ConfigSpace& space = model.config_space();
+  std::vector<double> power;
+  std::vector<double> perf;
+  for (std::size_t i = 0; i < space.size(); ++i) {
+    const hw::Configuration& config = space.at(i);
+    const bool on_gpu = config.device == hw::Device::Gpu;
+    const ReferenceGp& power_gp = gps[3 * out.cluster];
+    const ReferenceGp& perf_gp = gps[3 * out.cluster + (on_gpu ? 2 : 1)];
+    const double s_perf =
+        on_gpu ? samples.gpu.performance() : samples.cpu.performance();
+    const auto power_mv = power_gp.posterior(power_features(config, samples));
+    const auto perf_mv = perf_gp.posterior(perf_features(config));
+    Estimate estimate;
+    estimate.power_w = std::max(1.0, power_mv.mean);
+    estimate.power_sigma = std::sqrt(power_mv.variance);
+    estimate.performance = std::max(1e-6, perf_mv.mean) * s_perf;
+    estimate.performance_sigma = std::sqrt(perf_mv.variance) * s_perf;
+    power.push_back(estimate.power_w);
+    perf.push_back(estimate.performance);
+    out.per_config.push_back(estimate);
+  }
+  out.frontier = pareto::ParetoFrontier::build(power, perf).points();
+  return out;
+}
+
+void expect_gp_matches_reference_bitwise(
+    const GpPredictor& model,
+    const std::vector<KernelCharacterization>& characterizations,
+    const std::string& label) {
+  std::vector<ReferenceGp> gps;
+  for (std::size_t c = 0; c < model.cluster_count(); ++c) {
+    const GpPredictor::ClusterSurrogate& surrogate = model.cluster(c);
+    gps.emplace_back(surrogate.power);
+    gps.emplace_back(surrogate.perf_cpu);
+    gps.emplace_back(surrogate.perf_gpu);
+  }
+  for (const auto& c : characterizations) {
+    expect_bitwise_equal(model.predict(c.samples),
+                         reference_gp_predict(model, gps, c.samples),
+                         label + ' ' + c.instance_id);
+  }
+}
+
+TEST_F(GpPredictorTest, PredictMatchesPointwisePosteriorsBitwise) {
+  // predict() reads tabulated performance posteriors and solves the
+  // power posteriors in one block; it must answer every suite kernel
+  // exactly as per-configuration scalar posteriors do, trained and
+  // parsed alike.
+  ASSERT_NE(gp_, nullptr);
+  expect_gp_matches_reference_bitwise(*gp_, *characterizations_, "trained");
+  expect_gp_matches_reference_bitwise(GpPredictor::parse(gp_->serialize()),
+                                      *characterizations_, "parsed");
+
+  // Performance GPs fit to negative ratios put every posterior mean below
+  // the 1e-6 floor, so the table's clamp is exercised too.
+  const hw::ConfigSpace space;
+  std::vector<GpPredictor::ClusterSurrogate> clusters;
+  for (std::size_t c = 0; c < gp_->cluster_count(); ++c) {
+    GpPredictor::ClusterSurrogate surrogate = gp_->cluster(c);
+    for (const hw::Device device : {hw::Device::Cpu, hw::Device::Gpu}) {
+      std::vector<std::vector<double>> rows;
+      std::vector<double> y;
+      for (std::size_t i = 0; i < space.size(); ++i) {
+        if (space.at(i).device == device) {
+          rows.push_back(perf_features(space.at(i)));
+          y.push_back(-1.0 - 0.01 * static_cast<double>(i));
+        }
+      }
+      linalg::Matrix x{rows.size(), rows.front().size()};
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        std::copy(rows[r].begin(), rows[r].end(), x.row(r).begin());
+      }
+      (device == hw::Device::Gpu ? surrogate.perf_gpu : surrogate.perf_cpu) =
+          GpRegressor::fit(x, y);
+    }
+    clusters.push_back(std::move(surrogate));
+  }
+  const GpPredictor clamped{std::move(clusters), gp_->tree()};
+  const std::vector<KernelCharacterization> few(
+      characterizations_->begin(), characterizations_->begin() + 8);
+  for (const auto& c : few) {
+    const Prediction prediction = clamped.predict(c.samples);
+    const double s_perf = c.samples.cpu.performance();
+    ASSERT_EQ(space.at(0).device, hw::Device::Cpu);
+    EXPECT_EQ(prediction.per_config.front().performance, 1e-6 * s_perf);
+  }
+  expect_gp_matches_reference_bitwise(clamped, few, "clamped");
 }
 
 }  // namespace

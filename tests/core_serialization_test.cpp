@@ -37,20 +37,27 @@ class SerializationTest : public ::testing::Test {
     TrainerOptions options;
     options.clusters = 3;
     model_ = new TrainedModel{train(*characterizations_, options).model};
+    options.predictor = PredictorKind::GaussianProcess;
+    options.gp_max_rows = 16;
+    gp_ = new PredictorPtr{
+        train_predictor(*characterizations_, options).predictor};
   }
 
   static void TearDownTestSuite() {
+    delete gp_;
     delete model_;
     delete characterizations_;
   }
 
   static std::vector<KernelCharacterization>* characterizations_;
   static TrainedModel* model_;
+  static PredictorPtr* gp_;
 };
 
 std::vector<KernelCharacterization>* SerializationTest::characterizations_ =
     nullptr;
 TrainedModel* SerializationTest::model_ = nullptr;
+PredictorPtr* SerializationTest::gp_ = nullptr;
 
 TEST_F(SerializationTest, RoundTripPredictsIdenticallyOnEveryConfig) {
   const TrainedModel restored = TrainedModel::parse(model_->serialize());
@@ -154,6 +161,39 @@ TEST_F(SerializationTest, WrongFeatureCountIsRejectedAtParse) {
     const std::string bad = drop_last_slope(line);
     EXPECT_THROW(parse_predictor(bad), Error) << "line " << line;
     EXPECT_THROW(TrainedModel::parse(bad), Error) << "line " << line;
+  }
+}
+
+TEST_F(SerializationTest, GpWrongFeatureCountIsRejectedAtParse) {
+  // The gp-sqexp twin of the test above: a GP line with one input column
+  // too few is a valid GpRegressor, but every predict would throw on it,
+  // so parsing the predictor must throw instead.
+  const std::string text = (*gp_)->serialize();
+  const auto drop_last_column = [&](std::size_t line_index) {
+    std::vector<std::string> lines = split(text, '\n');
+    const auto fields = split(lines[line_index], ' ');
+    const std::size_t n = parse_size(fields[0]);
+    const std::size_t d = parse_size(fields[1]);
+    std::vector<std::string> out{fields[0], std::to_string(d - 1), fields[2],
+                                 fields[3], fields[4]};
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c + 1 < d; ++c) {
+        out.push_back(fields[5 + r * d + c]);
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      out.push_back(fields[5 + n * d + i]);
+    }
+    lines[line_index] = join(out, " ");
+    EXPECT_NO_THROW(GpRegressor::parse(lines[line_index]));
+    return join(lines, "\n");
+  };
+  // Line 0 is the envelope, line 1 the cluster count, then the first
+  // cluster's power, perf_cpu and perf_gpu lines.
+  for (const std::size_t line : {2u, 3u, 4u}) {
+    const std::string bad = drop_last_column(line);
+    EXPECT_THROW(parse_predictor(bad), Error) << "line " << line;
+    EXPECT_THROW(GpPredictor::parse(bad), Error) << "line " << line;
   }
 }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "linalg/matrix.h"
 #include "soc/machine.h"
 #include "util/error.h"
+#include "util/strings.h"
 #include "workloads/suite.h"
 
 namespace acsel::core {
@@ -191,6 +193,19 @@ TEST_F(PredictorContractTest, NewerVersionIsATypedRejection) {
                UnsupportedPredictorVersionError);
   EXPECT_THROW(parse_predictor("acsel-predictor gp-sqexp v7\n" + body),
                UnsupportedPredictorVersionError);
+  // 2^32 + 1 must not wrap onto the supported v1.
+  EXPECT_THROW(
+      parse_predictor("acsel-predictor gp-sqexp v4294967297\n" + body),
+      UnsupportedPredictorVersionError);
+}
+
+TEST_F(PredictorContractTest, GpOverflowingShapeIsATypedRejection) {
+  // n·d + n wraps to 0 for n = 2^63, d = 1: the line must fail the
+  // field-count check, not reach the allocator (std::length_error).
+  std::vector<std::string> lines =
+      split((*predictors_)[1].predictor->serialize(), '\n');
+  lines[2] = "9223372036854775808 1 1 1 1";  // the first power GP
+  EXPECT_THROW(parse_predictor(join(lines, "\n")), Error);
 }
 
 TEST_F(PredictorContractTest, MalformedEnvelopesAreTypedRejections) {
@@ -378,6 +393,62 @@ TEST(GpRegressor, SerializeParseRoundTripsBitExactly) {
     EXPECT_EQ(a.mean, b.mean);
     EXPECT_EQ(a.variance, b.variance);
   }
+}
+
+TEST(GpRegressor, OverflowingShapesAreTypedRejections) {
+  // Shapes whose n·(d+1) overflows, or that the line does not hold. The
+  // first passed the old check (n·d + n wraps to 0) and then threw an
+  // untyped std::length_error.
+  for (const char* line :
+       {"9223372036854775808 1 1 1 1", "1 18446744073709551615 1 1 1",
+        "18446744073709551615 18446744073709551615 1 1 1",
+        "4294967296 4294967295 1 1 1", "2 1 1 1 1 0.5 0.25 1"}) {
+    EXPECT_THROW(GpRegressor::parse(line), Error) << line;
+  }
+}
+
+TEST(GpRegressor, PredictRowsMatchesPredictPerRow) {
+  // A 3-D GP; each block mixes a training point, a far point, duplicate
+  // rows and scattered points. Every row of predict_rows must be bitwise
+  // the single-row predict.
+  constexpr std::size_t n = 40;
+  linalg::Matrix x{n, 3};
+  std::vector<double> y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = static_cast<double>(i);
+    x(i, 0) = std::sin(t);
+    x(i, 1) = std::cos(1.7 * t);
+    x(i, 2) = 0.05 * t;
+    y[i] = std::sin(2.0 * t) + 0.1 * t;
+  }
+  const GpRegressor gp = GpRegressor::fit(x, y);
+  for (const std::size_t m : {1u, 2u, 27u, 54u, 300u}) {
+    SCOPED_TRACE(m);
+    linalg::Matrix points{m, 3};
+    for (std::size_t r = 0; r < m; ++r) {
+      const double t = static_cast<double>(r);
+      const std::vector<double> row =
+          r == 0   ? std::vector<double>{x(7, 0), x(7, 1), x(7, 2)}
+          : r == 1 ? std::vector<double>{1e3, -1e3, 1e3}
+          : r % 5 == 4
+              ? std::vector<double>{points(r - 1, 0), points(r - 1, 1),
+                                    points(r - 1, 2)}
+              : std::vector<double>{std::sin(0.3 * t), std::cos(t), 0.01 * t};
+      std::copy(row.begin(), row.end(), points.row(r).begin());
+    }
+    const std::vector<GpRegressor::MeanVariance> rows = gp.predict_rows(points);
+    ASSERT_EQ(rows.size(), m);
+    for (std::size_t r = 0; r < m; ++r) {
+      const GpRegressor::MeanVariance one = gp.predict(points.row(r));
+      EXPECT_EQ(std::memcmp(&rows[r], &one, sizeof one), 0) << "row " << r;
+    }
+    if (m >= 2) {
+      // Far from every training point the posterior is the prior + noise.
+      EXPECT_EQ(rows[1].variance, gp.signal_variance() + gp.noise_variance());
+    }
+  }
+  EXPECT_TRUE(gp.predict_rows(linalg::Matrix{0, 3}).empty());
+  EXPECT_THROW(gp.predict_rows(linalg::Matrix{2, 4}), Error);
 }
 
 TEST(GpRegressor, SubsamplesDeterministicallyBeyondMaxRows) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "stats/cart.h"
 #include "util/error.h"
@@ -189,6 +190,18 @@ TEST(Cart, SerializeParseRoundTrip) {
 TEST(Cart, ParseRejectsGarbage) {
   EXPECT_THROW(Cart::parse(""), Error);
   EXPECT_THROW(Cart::parse("1 2\n"), Error);
+  // One split on feature 0 of 1, two leaves; then the same tree with a
+  // child pointing back at its parent (walk() would never reach a leaf),
+  // and with a split feature past the feature count.
+  const std::string leaves = "1 0 0 0 0 0 1 0\n1 0 0 0 0 1 0 1\n";
+  EXPECT_NO_THROW(
+      Cart::parse("1 2 1 3 0\n0 0 0.5 1 2 0 0.5 0.5\n" + leaves));
+  EXPECT_THROW(Cart::parse("1 2 1 3 0\n0 0 0.5 0 2 0 0.5 0.5\n" + leaves),
+               Error);
+  EXPECT_THROW(Cart::parse("1 2 1 3 0\n0 1 0.5 1 2 0 0.5 0.5\n" + leaves),
+               Error);
+  // 6 + n_classes wraps to the one field of the node line.
+  EXPECT_THROW(Cart::parse("1 18446744073709551611 1 1 0\n1\n"), Error);
 }
 
 // Property sweep: trained trees respect structural invariants and are
