@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
   options.fleet.replicas = kReplicas;
   options.fleet.ring_vnodes = 128;
   options.fleet.budget.global_budget_w =
-      static_cast<double>(kShards) * options.fleet.budget.nominal_cap_w;
+      static_cast<double>(kShards) * fleet::kNominalCapW;
   // Bench-scale SLO objectives (per fleet_throughput): alerts observe,
   // the JSON gate enforces.
   options.fleet.slo.p99_objective_us = 50'000.0;

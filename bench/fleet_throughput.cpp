@@ -172,8 +172,7 @@ int main(int argc, char** argv) {
   baseline_options.shards = 1;
   baseline_options.replicas = 1;
   baseline_options.executor = &bench::bench_executor();
-  baseline_options.budget.global_budget_w =
-      baseline_options.budget.nominal_cap_w;
+  baseline_options.budget.global_budget_w = fleet::kNominalCapW;
   RunStats baseline;
   {
     fleet::Fleet single{baseline_options};
@@ -193,7 +192,7 @@ int main(int argc, char** argv) {
   // Facility budget = nominal per shard: a balanced allocation serves at
   // 1.0x, and a dead shard's share visibly flows to the survivors.
   options.budget.global_budget_w =
-      static_cast<double>(kShards) * options.budget.nominal_cap_w;
+      static_cast<double>(kShards) * fleet::kNominalCapW;
   // Observability: 1% head-based trace sampling plus the SLO engine.
   // Objectives are bench-scale: the delivered SLO is the one the chaos
   // script exercises; p99/cap objectives sit above this host's noise so

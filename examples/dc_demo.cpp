@@ -93,8 +93,7 @@ int main() {
   options.traffic.drift_per_tick = 0.1;
   options.fleet.shards = 3;
   options.fleet.replicas = 2;
-  options.fleet.budget.global_budget_w =
-      3.0 * options.fleet.budget.nominal_cap_w;
+  options.fleet.budget.global_budget_w = 3.0 * fleet::kNominalCapW;
   options.adapt = dc::soak_adapt_defaults();
   options.measure_every = 8;
   options.script = {

@@ -105,11 +105,11 @@ int main() {
   for (std::uint32_t r = 0; r < options.replicas; ++r) {
     fleet.fail_node(fleet::NodeId{victim, r});
   }
-  // The dead nodes stop heartbeating; the detector needs dead_after ticks
+  // The dead nodes stop heartbeating; the detector needs kDeadAfterTicks
   // of silence to call it. Traffic keeps flowing the whole time — the
   // shard's zero-reply fan-outs reroute immediately, detection just stops
   // the fleet paying fan-out timeouts for a machine it knows is gone.
-  for (std::uint64_t t = 0; t <= options.membership.dead_after; ++t) {
+  for (std::uint64_t t = 0; t <= fleet::kDeadAfterTicks; ++t) {
     for (const auto& request : requests) {
       (void)fleet.select(request);
     }

@@ -86,7 +86,7 @@ int main() {
   fleet.publish(core::make_predictor(core::train(training).model));
   std::cout << "Fleet up: " << options.shards << " shards x "
             << options.replicas << " replicas; SLOs: delivered >= "
-            << format_double(options.slo.delivered_objective, 4)
+            << format_double(fleet::kDeliveredObjective, 4)
             << ", p99 < " << format_double(options.slo.p99_objective_us, 1)
             << " us, cap exceedance <= "
             << format_double(options.slo.cap_exceedance_target, 3) << ".\n\n";

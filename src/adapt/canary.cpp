@@ -11,6 +11,13 @@
 
 namespace acsel::adapt {
 
+namespace {
+
+/// Absolute sigma headroom of the canary's variance gate, W.
+constexpr double kUncertaintyFloorW = 0.25;
+
+}  // namespace
+
 SelectionQuality selection_quality(const core::Predictor& model,
                                    const core::KernelCharacterization& truth,
                                    std::optional<double> cap_w,
@@ -155,7 +162,7 @@ void CanaryEvaluator::decide_if_ready() {
     const bool certain_enough =
         options_.uncertainty_margin < 0.0 ||
         cand_sigma <= inc_sigma * (1.0 + options_.uncertainty_margin) +
-                          options_.uncertainty_floor_w;
+                          kUncertaintyFloorW;
     const bool accepted = better && certain_enough;
     decide(accepted, accepted ? "beat incumbent by margin"
                      : !better ? "did not beat incumbent by margin"

@@ -70,13 +70,12 @@ struct CanaryOptions {
   std::size_t max_observations = 512;
   /// Variance gate: a candidate whose mean selected-config power sigma
   /// exceeds the incumbent's by more than this *relative* margin (plus
-  /// `uncertainty_floor_w` of absolute headroom, so a near-zero-sigma
-  /// incumbent doesn't make the gate impossibly tight) is rejected even
+  /// 0.25 W of absolute headroom, so a near-zero-sigma incumbent doesn't
+  /// make the gate impossibly tight) is rejected even
   /// when its error beats the incumbent — a model that is accurate on the
   /// canary window but far less certain is a drift risk. Negative
   /// disables the gate.
   double uncertainty_margin = 1.0;
-  double uncertainty_floor_w = 0.25;
   std::uint64_t seed = 0xca9a11e5ull;
 };
 

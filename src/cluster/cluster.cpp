@@ -10,7 +10,6 @@ Cluster::Cluster(std::vector<Node> nodes, const ClusterOptions& options)
       recent_power_w_(nodes_.size(), 0.0) {
   ACSEL_CHECK_MSG(!nodes_.empty(), "cluster needs nodes");
   ACSEL_CHECK(options.global_budget_w > 0.0);
-  ACSEL_CHECK(options.reallocation_period >= 1);
   reallocate();
 }
 
@@ -37,18 +36,15 @@ void Cluster::reallocate() {
     };
     views.push_back(std::move(view));
   }
-  const std::vector<double> caps = allocate(
-      options_.policy, options_.global_budget_w, views, options_.allocator);
+  const std::vector<double> caps =
+      allocate(options_.policy, options_.global_budget_w, views);
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     nodes_[i].set_cap(caps[i]);
   }
 }
 
 TimestepReport Cluster::step() {
-  if (steps_run_ % options_.reallocation_period == 0) {
-    reallocate();
-  }
-  ++steps_run_;
+  reallocate();
 
   TimestepReport report;
   report.nodes.reserve(nodes_.size());

@@ -16,9 +16,6 @@ namespace acsel::cluster {
 struct ClusterOptions {
   double global_budget_w = 100.0;
   AllocationPolicy policy = AllocationPolicy::Uniform;
-  AllocatorOptions allocator;
-  /// Reallocate every this many timesteps (1 = every step).
-  std::size_t reallocation_period = 1;
 };
 
 struct TimestepReport {
@@ -35,7 +32,7 @@ class Cluster {
  public:
   Cluster(std::vector<Node> nodes, const ClusterOptions& options);
 
-  /// Runs one timestep on every node, reallocating power first when due.
+  /// Runs one timestep on every node, reallocating power first.
   TimestepReport step();
 
   /// Convenience: run `steps` timesteps and return the last report.
@@ -55,7 +52,6 @@ class Cluster {
   std::vector<Node> nodes_;
   ClusterOptions options_;
   std::vector<double> recent_power_w_;
-  std::size_t steps_run_ = 0;
 };
 
 }  // namespace acsel::cluster

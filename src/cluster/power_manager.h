@@ -35,22 +35,13 @@ struct NodeView {
   std::function<double(double)> predicted_latency_ms;
 };
 
-struct AllocatorOptions {
-  /// Power quantum moved per water-filling step, W. Configurations are
-  /// discrete, so the quantum must be coarse enough to cross frontier
-  /// steps (adjacent frontier points are typically 1-3 W apart).
-  double quantum_w = 2.0;
-  /// Maximum water-filling iterations per reallocation.
-  std::size_t max_iterations = 200;
-  /// Floor for any node's allocation, W (keeps nodes bootable).
-  double floor_w = 10.0;
-};
+/// Floor for any node's allocation, W (keeps nodes bootable).
+inline constexpr double kAllocationFloorW = 10.0;
 
 /// Splits `budget_w` across the nodes according to `policy`. The returned
 /// allocations sum to at most budget_w (within 1e-9) and respect the
-/// per-node floor whenever budget_w >= n * floor.
+/// per-node floor whenever budget_w >= n * kAllocationFloorW.
 std::vector<double> allocate(AllocationPolicy policy, double budget_w,
-                             const std::vector<NodeView>& nodes,
-                             const AllocatorOptions& options = {});
+                             const std::vector<NodeView>& nodes);
 
 }  // namespace acsel::cluster

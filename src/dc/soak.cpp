@@ -15,6 +15,15 @@
 
 namespace acsel::dc {
 
+namespace {
+
+/// Benchmark held out of training and served (the unseen workload).
+constexpr char kHeldOut[] = "LU";
+/// soc.kernel_shift magnitude the shifted truth is characterized under.
+constexpr double kShiftMagnitude = 1.6;
+
+}  // namespace
+
 const char* to_string(ScenarioEvent::Kind kind) {
   switch (kind) {
     case ScenarioEvent::Kind::FailShard:
@@ -44,8 +53,7 @@ World make_world(const WorldOptions& options) {
   // benchmarks, each on its own deterministic machine clone.
   std::size_t trained = 0;
   for (const auto& instance : suite.instances()) {
-    if (instance.benchmark == options.held_out ||
-        trained >= options.max_training) {
+    if (instance.benchmark == kHeldOut || trained >= options.max_training) {
       continue;
     }
     soc::Machine clone = machine.clone(trained);
@@ -63,14 +71,13 @@ World make_world(const WorldOptions& options) {
   fault::Injector& injector = fault::Injector::global();
   std::size_t bases = 0;
   for (const auto& instance : suite.instances()) {
-    if (instance.benchmark != options.held_out ||
-        bases >= options.max_bases) {
+    if (instance.benchmark != kHeldOut || bases >= options.max_bases) {
       continue;
     }
     soc::Machine clean_clone = machine.clone(100'000 + bases);
     world.clean_truth.push_back(
         eval::characterize_instance(clean_clone, instance));
-    injector.arm("soc.kernel_shift", {1.0, 1, options.shift_magnitude});
+    injector.arm("soc.kernel_shift", {1.0, 1, kShiftMagnitude});
     soc::Machine shifted_clone = machine.clone(100'000 + bases);
     world.shifted_truth.push_back(
         eval::characterize_instance(shifted_clone, instance));
@@ -292,7 +299,7 @@ SoakReport SoakDriver::run() {
   report.lost =
       report.fleet.routed - report.fleet.delivered - report.fleet.shed;
   report.sim_seconds =
-      static_cast<double>(opts.ticks) * traffic.tick_span_seconds();
+      static_cast<double>(opts.ticks) * traffic.options().tick_seconds;
   for (std::size_t p = 0; p < serve::kPriorityClasses; ++p) {
     report.delivered_qps[p] =
         static_cast<double>(report.fleet.delivered_by_priority[p]) /

@@ -18,7 +18,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "adapt/controller.h"
@@ -74,10 +73,6 @@ struct WorldOptions {
   /// Distinct kernel identities in the pool (variants of the held-out
   /// benchmark's instances).
   std::size_t kernels = 96;
-  /// Benchmark held out of training and served (the unseen workload).
-  std::string held_out = "LU";
-  /// soc.kernel_shift magnitude the shifted truth is characterized under.
-  double shift_magnitude = 1.6;
   /// Caps on world size, for small test worlds.
   std::size_t max_training = static_cast<std::size_t>(-1);
   std::size_t max_bases = static_cast<std::size_t>(-1);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "util/error.h"
 
@@ -9,6 +10,9 @@ namespace acsel::dc {
 
 namespace {
 constexpr double kTwoPi = 6.283185307179586;
+/// Power caps drawn by capped requests; the rest run unconstrained.
+constexpr double kCapPoolW[] = {22.0, 26.0, 30.0, 40.0};
+constexpr double kCappedFraction = 0.8;
 }  // namespace
 
 TrafficGenerator::TrafficGenerator(const TrafficOptions& options)
@@ -30,14 +34,7 @@ TrafficGenerator::TrafficGenerator(const TrafficOptions& options)
                       options_.high_fraction + options_.low_fraction <= 1.0,
                   "traffic: priority fractions must be a sub-unit split");
   ACSEL_CHECK_MSG(options_.kernels >= 1, "traffic: need >= 1 kernel");
-  ACSEL_CHECK_MSG(options_.capped_fraction >= 0.0 &&
-                      options_.capped_fraction <= 1.0,
-                  "traffic: capped fraction must be in [0, 1]");
-  ACSEL_CHECK_MSG(options_.capped_fraction == 0.0 ||
-                      !options_.cap_pool_w.empty(),
-                  "traffic: capped requests need a non-empty cap pool");
-  ACSEL_CHECK_MSG(options_.tick_seconds > 0.0 &&
-                      options_.time_compression > 0.0,
+  ACSEL_CHECK_MSG(options_.tick_seconds > 0.0,
                   "traffic: tick span must be positive");
 
   // Zipf CDF over popularity ranks: weight(rank r) = 1 / r^s.
@@ -58,10 +55,6 @@ double TrafficGenerator::diurnal_qps(std::uint64_t t) const {
                        static_cast<double>(options_.diurnal_period_ticks);
   return options_.base_qps *
          (1.0 + options_.diurnal_amplitude * std::sin(phase));
-}
-
-double TrafficGenerator::tick_span_seconds() const {
-  return options_.tick_seconds * options_.time_compression;
 }
 
 std::size_t TrafficGenerator::zipf_draw(Rng& rng) const {
@@ -107,7 +100,7 @@ std::vector<Arrival> TrafficGenerator::tick() {
 
   const double qps =
       diurnal_qps(t) * (bursting_ ? options_.burst_multiplier : 1.0);
-  const std::uint64_t count = poisson(rng, qps * tick_span_seconds());
+  const std::uint64_t count = poisson(rng, qps * options_.tick_seconds);
   rotation_ += options_.drift_per_tick;
   const std::size_t offset =
       static_cast<std::size_t>(rotation_) % options_.kernels;
@@ -128,9 +121,8 @@ std::vector<Arrival> TrafficGenerator::tick() {
     }
     arrival.goal =
         static_cast<core::SchedulingGoal>(rng.uniform_index(3));
-    if (rng.uniform() < options_.capped_fraction) {
-      arrival.cap_w =
-          options_.cap_pool_w[rng.uniform_index(options_.cap_pool_w.size())];
+    if (rng.uniform() < kCappedFraction) {
+      arrival.cap_w = kCapPoolW[rng.uniform_index(std::size(kCapPoolW))];
     }
     arrivals.push_back(arrival);
   }

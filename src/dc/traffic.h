@@ -10,8 +10,7 @@
 // same arrival sequence for a given (options, call order) — the burst
 // chain and the drift rotation are the only cross-tick state, and both
 // advance deterministically. Two generators with the same options
-// produce bitwise-identical traffic; the time-compression factor only
-// rescales how much simulated trace time one tick covers.
+// produce bitwise-identical traffic.
 #pragma once
 
 #include <cstddef>
@@ -50,14 +49,8 @@ struct TrafficOptions {
   /// kernels per tick (fractional values accumulate), so the hot set
   /// migrates across the ring over the run.
   double drift_per_tick = 0.0;
-  /// Power caps drawn by capped requests; the rest run unconstrained.
-  std::vector<double> cap_pool_w = {22.0, 26.0, 30.0, 40.0};
-  double capped_fraction = 0.8;
-  /// Simulated trace seconds one tick covers, before compression.
+  /// Simulated trace seconds one tick covers.
   double tick_seconds = 0.05;
-  /// Replay speed-up: one tick covers tick_seconds * time_compression
-  /// seconds of trace (2 = the trace plays at double speed).
-  double time_compression = 1.0;
 };
 
 /// One generated request, by reference into the caller's kernel pool.
@@ -80,9 +73,6 @@ class TrafficGenerator {
   /// The diurnal curve alone (no burst overlay) at tick `t`, requests
   /// per simulated second.
   double diurnal_qps(std::uint64_t t) const;
-
-  /// Simulated seconds covered by one tick (tick_seconds x compression).
-  double tick_span_seconds() const;
 
   /// Whether the burst chain is currently on.
   bool bursting() const { return bursting_; }

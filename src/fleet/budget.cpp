@@ -8,6 +8,24 @@
 
 namespace acsel::fleet {
 
+namespace {
+
+/// Additional draw of a fully loaded shard machine, W.
+constexpr double kActivePowerW = 28.0;
+
+/// Brownout thresholds on the pressure ratio (current budget / base
+/// budget). Falling below a threshold escalates to at least that stage;
+/// recovery steps down one stage per rebalance once the pressure is back
+/// above it.
+constexpr double kHedgePressure = 0.85;  ///< stage >= DropHedges below
+constexpr double kShedPressure = 0.70;   ///< stage >= ShedLowPriority below
+constexpr double kFloorPressure = 0.55;  ///< stage == ForceLowPower below
+static_assert(kFloorPressure < kShedPressure &&
+                  kShedPressure < kHedgePressure,
+              "brownout thresholds must be ordered floor < shed < hedge");
+
+}  // namespace
+
 const char* to_string(BrownoutStage stage) {
   switch (stage) {
     case BrownoutStage::None:
@@ -29,16 +47,8 @@ BudgetBalancer::BudgetBalancer(std::size_t shards,
   ACSEL_CHECK_MSG(shards >= 1, "budget balancer needs >= 1 shard");
   ACSEL_CHECK_MSG(options_.global_budget_w > 0.0,
                   "global power budget must be positive");
-  ACSEL_CHECK_MSG(options_.nominal_cap_w > options_.allocator.floor_w,
-                  "nominal cap must exceed the allocation floor");
-  ACSEL_CHECK_MSG(options_.brownout_floor_pressure <=
-                          options_.brownout_shed_pressure &&
-                      options_.brownout_shed_pressure <=
-                          options_.brownout_hedge_pressure,
-                  "brownout thresholds must be ordered floor <= shed <= "
-                  "hedge");
   for (ShardBudget& shard : shards_) {
-    shard.cap_w = options_.nominal_cap_w;
+    shard.cap_w = kNominalCapW;
     shard.latency_scale = 1.0;
   }
 }
@@ -62,13 +72,13 @@ void BudgetBalancer::clear_emergency() {
 
 BrownoutStage BudgetBalancer::target_stage() const {
   const double p = pressure();
-  if (p < options_.brownout_floor_pressure) {
+  if (p < kFloorPressure) {
     return BrownoutStage::ForceLowPower;
   }
-  if (p < options_.brownout_shed_pressure) {
+  if (p < kShedPressure) {
     return BrownoutStage::ShedLowPriority;
   }
-  if (p < options_.brownout_hedge_pressure) {
+  if (p < kHedgePressure) {
     return BrownoutStage::DropHedges;
   }
   return BrownoutStage::None;
@@ -79,11 +89,11 @@ double BudgetBalancer::latency_scale_at(double cap_w) const {
   // steep gains just above the floor, diminishing returns toward the top
   // of the range. t(cap) = 1 + k / (cap - floor), normalized so
   // t(nominal) = 1.0 exactly.
-  const double floor = options_.allocator.floor_w;
-  const double k = 0.5 * (options_.nominal_cap_w - floor);
+  const double floor = cluster::kAllocationFloorW;
+  const double k = 0.5 * (kNominalCapW - floor);
   const double clamped = std::max(cap_w, floor + 0.5);
   const double raw = 1.0 + k / (clamped - floor);
-  const double at_nominal = 1.0 + k / (options_.nominal_cap_w - floor);
+  const double at_nominal = 1.0 + k / (kNominalCapW - floor);
   return raw / at_nominal;
 }
 
@@ -108,8 +118,8 @@ void BudgetBalancer::rebalance(const std::vector<std::uint64_t>& demand,
     // allocator naturally starves it toward the floor.
     view.recent_power_w =
         dead[s] ? options_.idle_power_w
-                : options_.idle_power_w + share * options_.active_power_w;
-    view.min_cap_w = options_.allocator.floor_w;
+                : options_.idle_power_w + share * kActivePowerW;
+    view.min_cap_w = cluster::kAllocationFloorW;
     const double load = dead[s] ? 0.0 : share;
     view.predicted_latency_ms = [this, load](double budget_w) {
       // Marginal gain weights shards by how much load their latency
@@ -123,15 +133,15 @@ void BudgetBalancer::rebalance(const std::vector<std::uint64_t>& demand,
   // exist (every cap clamped up to the floor). In that regime the floors
   // are void — split the budget evenly so the caps stay non-negative and
   // sum to exactly what the facility has.
-  const double floor_sum = options_.allocator.floor_w *
-                           static_cast<double>(shards_.size());
+  const double floor_sum =
+      cluster::kAllocationFloorW * static_cast<double>(shards_.size());
   std::vector<double> caps;
   if (options_.global_budget_w < floor_sum) {
     caps.assign(shards_.size(), options_.global_budget_w /
                                     static_cast<double>(shards_.size()));
   } else {
     caps = cluster::allocate(options_.policy, options_.global_budget_w,
-                             views, options_.allocator);
+                             views);
   }
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     shards_[s].cap_w = caps[s];

@@ -32,26 +32,19 @@
 
 namespace acsel::fleet {
 
+/// Nominal per-shard cap used to normalize the latency scale: at this cap
+/// a shard serves at 1.0x.
+inline constexpr double kNominalCapW = 30.0;
+static_assert(kNominalCapW > cluster::kAllocationFloorW,
+              "nominal cap must exceed the allocation floor");
+
 struct BudgetOptions {
   /// Facility budget split across shard machines, W.
   double global_budget_w = 240.0;
   cluster::AllocationPolicy policy =
       cluster::AllocationPolicy::DemandProportional;
-  cluster::AllocatorOptions allocator;
   /// Idle draw of a shard machine, W (the demand floor).
   double idle_power_w = 12.0;
-  /// Additional draw of a fully loaded shard machine, W.
-  double active_power_w = 28.0;
-  /// Nominal per-shard cap used to normalize the latency scale: at this
-  /// cap a shard serves at 1.0x.
-  double nominal_cap_w = 30.0;
-  /// Brownout thresholds on the pressure ratio (current budget / base
-  /// budget). Falling below a threshold escalates to at least that
-  /// stage; recovery steps down one stage per rebalance once the
-  /// pressure is back above it.
-  double brownout_hedge_pressure = 0.85;  ///< stage >= DropHedges below
-  double brownout_shed_pressure = 0.70;   ///< stage >= ShedLowPriority below
-  double brownout_floor_pressure = 0.55;  ///< stage == ForceLowPower below
 };
 
 /// Staged degradation under a power emergency; each stage implies the

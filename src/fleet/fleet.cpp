@@ -19,6 +19,13 @@ namespace acsel::fleet {
 
 namespace {
 
+/// Distinct fallback shards the router walks when the owner is down.
+constexpr std::size_t kRerouteFallbacks = 2;
+/// Simulated cost of a replica slot that never answers.
+constexpr std::uint64_t kReplicaTimeoutNs = 10'000'000;
+/// Hedge delay as a multiple of the shard's p95 service latency.
+constexpr double kHedgeP95Multiplier = 1.5;
+
 std::uint64_t steady_now_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -31,18 +38,14 @@ std::uint64_t steady_now_ns() {
 Fleet::Fleet(const FleetOptions& options)
     : options_(options),
       ring_(options.ring_vnodes),
-      membership_(options.membership),
       balancer_(options.shards, options.budget),
       metrics_(options.shards),
-      series_(options.slo.series_capacity),
       slo_engine_(options.slo.burn) {
   ACSEL_CHECK_MSG(options_.shards >= 1, "fleet needs >= 1 shard");
   ACSEL_CHECK_MSG(options_.replicas >= 1,
                   "fleet needs >= 1 replica per shard");
   ACSEL_CHECK_MSG(options_.rebalance_period >= 1,
                   "rebalance period must be >= 1 tick");
-  ACSEL_CHECK_MSG(options_.replica_timeout_ns >= 1,
-                  "replica timeout must be >= 1 ns");
   ACSEL_CHECK_MSG(options_.hedge_fallback_delay_ns >= 1,
                   "hedge fallback delay must be >= 1 ns");
   ACSEL_CHECK_MSG(options_.shard_fingerprints.empty() ||
@@ -90,7 +93,7 @@ Fleet::Fleet(const FleetOptions& options)
     delivered.kind = obs::SloKind::RatioAtLeast;
     delivered.numerator = "fleet.delivered_ok";
     delivered.denominator = "fleet.routed";
-    delivered.objective = options_.slo.delivered_objective;
+    delivered.objective = kDeliveredObjective;
     delivered.error_budget = options_.slo.error_budget;
     delivered.exemplar_metric = "fleet.latency";
     slo_engine_.add(std::move(delivered));
@@ -215,7 +218,7 @@ std::vector<std::uint32_t> Fleet::route_candidates(
     const serve::SelectRequest& request) const {
   if (options_.shard_fingerprints.empty() ||
       !request.fingerprint.has_value()) {
-    return ring_.owners(route_key(request), 1 + options_.reroute_fallbacks);
+    return ring_.owners(route_key(request), 1 + kRerouteFallbacks);
   }
   // Heterogeneous fleet: walk the full ring order but try the shards of
   // the request's own architecture first — a request would rather cross
@@ -227,8 +230,8 @@ std::vector<std::uint32_t> Fleet::route_candidates(
   std::stable_partition(walk.begin(), walk.end(), [&](std::uint32_t shard) {
     return options_.shard_fingerprints[shard] == *request.fingerprint;
   });
-  if (walk.size() > 1 + options_.reroute_fallbacks) {
-    walk.resize(1 + options_.reroute_fallbacks);
+  if (walk.size() > 1 + kRerouteFallbacks) {
+    walk.resize(1 + kRerouteFallbacks);
   }
   return walk;
 }
@@ -324,7 +327,7 @@ Fleet::Slot Fleet::call_replica(ShardGroup& group, std::size_t replica_index,
   Replica& replica = *group.replicas[replica_index];
   if (replica.failed.load(std::memory_order_acquire)) {
     // A lost node answers nothing; its slot costs the timeout.
-    slot.sim_ns = options_.replica_timeout_ns;
+    slot.sim_ns = kReplicaTimeoutNs;
     metrics_.on_replica_timeout();
     return slot;
   }
@@ -456,8 +459,7 @@ bool Fleet::serve_on_shard(std::uint32_t shard,
       group.hedge_delay_ns.load(std::memory_order_relaxed);
   // A brownout's first stage suppresses hedges — duplicate work is the
   // cheapest load to refuse when the watts are gone.
-  const bool hedging = options_.hedge_p95_multiplier > 0.0 &&
-                       brownout_stage() < BrownoutStage::DropHedges;
+  const bool hedging = brownout_stage() < BrownoutStage::DropHedges;
   const bool deadline_blocks_hedge =
       request.deadline_ns > 0 && hedge_delay >= request.deadline_ns;
   std::vector<std::uint64_t> slot_effective(slots.size());
@@ -587,18 +589,16 @@ void Fleet::tick() {
   metrics_.set_alive_replicas(alive);
 
   // 3. Refresh per-shard hedge delays from the service-latency p95.
-  if (options_.hedge_p95_multiplier > 0.0) {
-    for (auto& group : shards_) {
-      // Cold-start guard: hold the fixed fallback delay until the
-      // tracker has enough samples for a meaningful tail.
-      if (group->service_latency.count() >= options_.hedge_min_samples) {
-        const double p95 = static_cast<double>(
-            group->service_latency.quantile_nanos(0.95));
-        const std::uint64_t delay = std::max(
-            options_.hedge_min_delay_ns,
-            static_cast<std::uint64_t>(p95 * options_.hedge_p95_multiplier));
-        group->hedge_delay_ns.store(delay, std::memory_order_relaxed);
-      }
+  for (auto& group : shards_) {
+    // Cold-start guard: hold the fixed fallback delay until the tracker
+    // has enough samples for a meaningful tail.
+    if (group->service_latency.count() >= options_.hedge_min_samples) {
+      const double p95 = static_cast<double>(
+          group->service_latency.quantile_nanos(0.95));
+      const std::uint64_t delay =
+          std::max(options_.hedge_min_delay_ns,
+                   static_cast<std::uint64_t>(p95 * kHedgeP95Multiplier));
+      group->hedge_delay_ns.store(delay, std::memory_order_relaxed);
     }
   }
 
@@ -806,24 +806,10 @@ void Fleet::append_slo_state(serve::StatsResponse& response) const {
     gauge(prefix + "max", rollup.max, rollup.points);
     gauge(prefix + "avg", rollup.avg, rollup.points);
   }
-  std::uint32_t active = 0;
-  for (const obs::Alert& alert : slo_engine_.alerts()) {
-    if (alert.active()) {
-      ++active;
-    }
-    serve::AlertSnapshot snap;
-    snap.slo = alert.slo;
-    snap.fired_tick = alert.fired_tick;
-    snap.cleared_tick = alert.cleared_tick;
-    snap.fast_burn = alert.fast_burn;
-    snap.slow_burn = alert.slow_burn;
-    snap.worst_value = alert.worst_value;
-    snap.membership_transitions = alert.membership_transitions;
-    snap.promotions = alert.promotions;
-    snap.rollbacks = alert.rollbacks;
-    snap.exemplar_trace_ids = alert.exemplar_trace_ids;
-    response.alerts.push_back(std::move(snap));
-  }
+  response.alerts = slo_engine_.alerts();
+  const auto active =
+      std::count_if(response.alerts.begin(), response.alerts.end(),
+                    [](const obs::Alert& alert) { return alert.active(); });
   gauge("slo.configured", static_cast<double>(slo_engine_.slos().size()));
   gauge("slo.active", static_cast<double>(active));
   std::sort(rows.begin(), rows.end(),

@@ -22,11 +22,11 @@
 //
 // Failure semantics (the contract the chaos tests pin):
 //   * a failed replica answers nothing; its slot times out at
-//     replica_timeout_ns and contributes no vote. Hedging caps the slot
+//     kReplicaTimeoutNs and contributes no vote. Hedging caps the slot
 //     at hedge_delay + fastest live replica.
 //   * a request whose owner shard has no routable replica, or whose
 //     fan-out produced zero replies, is rerouted to the next distinct
-//     shards on the ring (reroute_fallbacks of them);
+//     shards on the ring (kRerouteFallbacks of them);
 //   * when every fallback fails too, the request is answered Shed —
 //     every select() returns a response; nothing is silently lost.
 //
@@ -67,6 +67,9 @@
 
 namespace acsel::fleet {
 
+/// Owner-shard delivered-fraction objective of the "fleet.delivered" SLO.
+inline constexpr double kDeliveredObjective = 0.999;
+
 /// SLO-engine wiring for a fleet. When enabled, every tick() snapshots
 /// the fleet registry into a SeriesStore and evaluates three objectives
 /// with multi-window burn-rate alerting:
@@ -78,13 +81,9 @@ namespace acsel::fleet {
 ///                               answered infeasible <= objective.
 struct SloConfig {
   bool enabled = false;
-  /// Retained ticks per series.
-  std::size_t series_capacity = obs::SeriesStore::kDefaultCapacity;
   obs::BurnRateOptions burn;
   /// Service p99 objective, microseconds (1ms default).
   double p99_objective_us = 1000.0;
-  /// Owner-shard delivered fraction objective.
-  double delivered_objective = 0.999;
   /// Allowed fraction of capped requests answered predicted-infeasible.
   double cap_exceedance_target = 0.05;
   /// Fraction of ticks each SLO may be bad (burn = bad fraction / this).
@@ -98,8 +97,6 @@ struct FleetOptions {
   std::size_t replicas = 3;
   /// Ring points per shard.
   std::size_t ring_vnodes = 64;
-  /// Distinct fallback shards the router walks when the owner is down.
-  std::size_t reroute_fallbacks = 2;
   /// Per-replica server options (workers default 1: one node, one lane;
   /// the fleet's parallelism is across nodes).
   serve::ServerOptions server = [] {
@@ -109,14 +106,11 @@ struct FleetOptions {
   }();
   /// Per-replica transport client (retry/backoff) options.
   serve::ClientOptions client;
-  MembershipOptions membership;
   BudgetOptions budget;
   /// Rebalance the power budget every this many ticks.
   std::uint64_t rebalance_period = 4;
   /// Hedge a slow replica slot after max(hedge_min_delay_ns,
-  /// hedge_p95_multiplier * p95(shard service latency)). 0 multiplier
-  /// disables hedging.
-  double hedge_p95_multiplier = 1.5;
+  /// 1.5 * p95(shard service latency)).
   std::uint64_t hedge_min_delay_ns = 100'000;
   /// Cold-start guard: until a shard's latency tracker holds this many
   /// samples its p95 is noise, so the hedge delay stays pinned at
@@ -124,8 +118,6 @@ struct FleetOptions {
   /// delay would hedge every request; an inflated one would never fire).
   std::uint64_t hedge_min_samples = 32;
   std::uint64_t hedge_fallback_delay_ns = 10'000'000;
-  /// Simulated cost of a replica slot that never answers.
-  std::uint64_t replica_timeout_ns = 10'000'000;
   /// Optional executor for the replica fan-out (nullptr = inline). The
   /// benches pass the shared pool; correctness never depends on it.
   exec::Executor* executor = nullptr;

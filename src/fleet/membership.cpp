@@ -1,6 +1,5 @@
 #include "fleet/membership.h"
 
-#include "util/error.h"
 #include "util/log.h"
 
 namespace acsel::fleet {
@@ -15,13 +14,6 @@ const char* to_string(NodeState state) {
       return "Dead";
   }
   return "?";
-}
-
-Membership::Membership(MembershipOptions options) : options_(options) {
-  ACSEL_CHECK_MSG(options_.suspect_after >= 1,
-                  "membership: suspect_after must be >= 1 tick");
-  ACSEL_CHECK_MSG(options_.dead_after > options_.suspect_after,
-                  "membership: dead_after must exceed suspect_after");
 }
 
 void Membership::join(NodeId node) {
@@ -51,9 +43,9 @@ std::vector<NodeId> Membership::tick() {
     }
     const std::uint64_t silent = now_ - entry.last_heartbeat;
     NodeState next = entry.state;
-    if (silent >= options_.dead_after) {
+    if (silent >= kDeadAfterTicks) {
       next = NodeState::Dead;
-    } else if (silent >= options_.suspect_after) {
+    } else if (silent >= kSuspectAfterTicks) {
       next = NodeState::Suspect;
     }
     if (next != entry.state) {

@@ -4,9 +4,9 @@
 // bit-for-bit: the same heartbeats are dropped on the same ticks and the
 // same nodes transit Alive -> Suspect -> Dead on the same ticks.
 //
-// Detection rule: a node that has not heartbeated for `suspect_after`
+// Detection rule: a node that has not heartbeated for kSuspectAfterTicks
 // ticks is Suspect (still routed to — it may just be partitioned); after
-// `dead_after` ticks it is Dead and the router stops fanning out to it.
+// kDeadAfterTicks ticks it is Dead and the router stops fanning out to it.
 // A heartbeat from a Suspect node revives it to Alive; Dead is sticky
 // until an explicit revive() (operator action), because flapping nodes
 // repeatedly rejoining a quorum is worse than a smaller quorum.
@@ -31,18 +31,16 @@ enum class NodeState : std::uint8_t { Alive = 0, Suspect = 1, Dead = 2 };
 
 const char* to_string(NodeState state);
 
-struct MembershipOptions {
-  /// Ticks without a heartbeat before Alive -> Suspect.
-  std::uint64_t suspect_after = 3;
-  /// Ticks without a heartbeat before Suspect -> Dead (measured from the
-  /// last heartbeat, so dead_after > suspect_after).
-  std::uint64_t dead_after = 6;
-};
+/// Ticks without a heartbeat before Alive -> Suspect.
+inline constexpr std::uint64_t kSuspectAfterTicks = 3;
+/// Ticks without a heartbeat before Suspect -> Dead (measured from the
+/// last heartbeat).
+inline constexpr std::uint64_t kDeadAfterTicks = 6;
+static_assert(kDeadAfterTicks > kSuspectAfterTicks,
+              "a node must be Suspect before it is Dead");
 
 class Membership {
  public:
-  explicit Membership(MembershipOptions options = {});
-
   /// Registers a node as Alive with a heartbeat at the current tick.
   void join(NodeId node);
 
@@ -83,7 +81,6 @@ class Membership {
     std::uint64_t last_heartbeat = 0;
   };
 
-  MembershipOptions options_;
   std::uint64_t now_ = 0;
   std::uint64_t transitions_ = 0;
   std::map<NodeId, Entry> nodes_;

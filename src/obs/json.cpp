@@ -81,9 +81,9 @@ class JsonParser {
     skip_whitespace();
     switch (peek()) {
       case '{':
-        return parse_object();
+        return parse_nested(&JsonParser::parse_object);
       case '[':
-        return parse_array();
+        return parse_nested(&JsonParser::parse_array);
       case '"': {
         JsonValue value;
         value.type_ = JsonValue::Type::String;
@@ -109,6 +109,19 @@ class JsonParser {
       default:
         return parse_number();
     }
+  }
+
+  /// Runs an array or object parser one nesting level down, refusing to
+  /// descend past kMaxDepth (the recursion would otherwise follow the input
+  /// all the way down the stack).
+  JsonValue parse_nested(JsonValue (JsonParser::*parse)()) {
+    if (depth_ == JsonValue::kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(JsonValue::kMaxDepth));
+    }
+    ++depth_;
+    JsonValue value = (this->*parse)();
+    --depth_;
+    return value;
   }
 
   JsonValue parse_object() {
@@ -277,6 +290,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 JsonValue JsonValue::parse(std::string_view text) {

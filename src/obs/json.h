@@ -5,7 +5,8 @@
 // back to check span invariants — without growing a third-party
 // dependency. Full RFC 8259 input grammar (objects, arrays, strings with
 // \uXXXX escapes incl. surrogate pairs, numbers, literals); parsing never
-// mutates and throws acsel::Error on malformed text.
+// mutates and throws acsel::Error on malformed text. Nesting is bounded by
+// JsonValue::kMaxDepth, so a run of brackets cannot overflow the stack.
 #pragma once
 
 #include <cstddef>
@@ -19,6 +20,9 @@ namespace acsel::obs {
 class JsonValue {
  public:
   enum class Type { Null, Bool, Number, String, Array, Object };
+
+  /// Deepest array/object nesting parse() accepts; deeper input throws.
+  static constexpr std::size_t kMaxDepth = 256;
 
   /// Parses one JSON document; trailing non-whitespace is an error.
   static JsonValue parse(std::string_view text);

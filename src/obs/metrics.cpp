@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "obs/json.h"
 #include "util/error.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -302,34 +301,6 @@ void write_registry_csv(CsvWriter& writer,
                 format_double(metric.p99_us, 17),
                 format_double(metric.max_us, 17)});
   }
-}
-
-void write_registry_json(const std::vector<MetricSnapshot>& snapshot,
-                         std::ostream& out) {
-  out << "{\"metrics\": [";
-  bool first = true;
-  for (const MetricSnapshot& metric : snapshot) {
-    out << (first ? "\n" : ",\n") << "  {\"name\": \""
-        << json_escape(metric.name) << "\", \"kind\": \""
-        << to_string(metric.kind) << "\"";
-    switch (metric.kind) {
-      case MetricKind::Counter:
-        out << ", \"count\": " << metric.count;
-        break;
-      case MetricKind::Gauge:
-        out << ", \"value\": " << format_double(metric.value, 17);
-        break;
-      case MetricKind::Histogram:
-        out << ", \"count\": " << metric.count
-            << ", \"p50_us\": " << format_double(metric.p50_us, 17)
-            << ", \"p99_us\": " << format_double(metric.p99_us, 17)
-            << ", \"max_us\": " << format_double(metric.max_us, 17);
-        break;
-    }
-    out << "}";
-    first = false;
-  }
-  out << "\n]}\n";
 }
 
 }  // namespace acsel::obs

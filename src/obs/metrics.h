@@ -1,7 +1,7 @@
 // Process-wide metric registry: named counters, gauges and log-bucketed
 // histograms with relaxed-atomic hot paths. Every subsystem — the online
 // runtime, the trainer, the serving layer — counts through one mechanism
-// and one snapshot/export path (text table, CSV, JSON, and the serve wire
+// and one snapshot/export path (text table, CSV, and the serve wire
 // protocol's StatsResponse all render the same MetricSnapshot rows).
 //
 // Hot-path contract: add()/set()/record() are wait-free (relaxed atomics
@@ -199,10 +199,5 @@ void print_registry(const std::vector<MetricSnapshot>& snapshot,
 const std::vector<std::string>& registry_csv_header();
 void write_registry_csv(CsvWriter& writer,
                         const std::vector<MetricSnapshot>& snapshot);
-
-/// JSON dump: {"metrics": [{"name": ..., "kind": ..., ...}, ...]}.
-/// Parses back with obs::JsonValue.
-void write_registry_json(const std::vector<MetricSnapshot>& snapshot,
-                         std::ostream& out);
 
 }  // namespace acsel::obs

@@ -81,6 +81,8 @@ struct Alert {
   std::vector<std::uint64_t> exemplar_trace_ids;
 
   bool active() const { return cleared_tick == 0; }
+
+  bool operator==(const Alert&) const = default;
 };
 
 /// Live evaluation state surfaced by the stats scrape.

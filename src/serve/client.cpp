@@ -13,6 +13,10 @@ namespace acsel::serve {
 
 namespace {
 
+/// Retry-budget bucket capacity: quiet periods cannot bank unlimited
+/// retries.
+constexpr double kRetryBudgetCap = 64.0;
+
 /// splitmix64 finalizer — a deterministic, well-mixed trace id from the
 /// (client seed, request id) pair.
 std::uint64_t mix64(std::uint64_t x) {
@@ -35,8 +39,7 @@ Client::Client(Transport transport, ClientOptions options)
   ACSEL_CHECK(options_.max_attempts >= 1);
   ACSEL_CHECK(options_.backoff_base.count() >= 0);
   ACSEL_CHECK(options_.backoff_max >= options_.backoff_base);
-  ACSEL_CHECK_MSG(options_.retry_budget_initial >= 0.0 &&
-                      options_.retry_budget_cap >= 0.0,
+  ACSEL_CHECK_MSG(options_.retry_budget_initial >= 0.0,
                   "retry budget tokens must be non-negative");
 }
 
@@ -73,7 +76,7 @@ void Client::deposit_retry_tokens() {
     return;
   }
   retry_tokens_ = std::min(retry_tokens_ + options_.retry_budget_ratio,
-                           options_.retry_budget_cap);
+                           kRetryBudgetCap);
 }
 
 bool Client::spend_retry_token() {

@@ -60,8 +60,6 @@ struct ClientOptions {
   /// Tokens in the bucket at construction — slack for cold-start bursts
   /// before deposits accumulate.
   double retry_budget_initial = 8.0;
-  /// Bucket capacity: quiet periods cannot bank unlimited retries.
-  double retry_budget_cap = 64.0;
 };
 
 class Client {

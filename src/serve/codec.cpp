@@ -298,7 +298,7 @@ void put_stats_response_payload(std::vector<std::uint8_t>& out,
     put_f64(out, metric.max_us);
   }
   put_u32(out, static_cast<std::uint32_t>(response.alerts.size()));
-  for (const AlertSnapshot& alert : response.alerts) {
+  for (const obs::Alert& alert : response.alerts) {
     put_string(out, alert.slo);
     put_u64(out, alert.fired_tick);
     put_u64(out, alert.cleared_tick);
@@ -353,7 +353,7 @@ StatsResponse read_stats_response_payload(Reader& r) {
   }
   response.alerts.reserve(alert_count);
   for (std::uint32_t i = 0; i < alert_count; ++i) {
-    AlertSnapshot alert;
+    obs::Alert alert;
     alert.slo = r.string();
     alert.fired_tick = r.u64();
     alert.cleared_tick = r.u64();

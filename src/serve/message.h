@@ -14,6 +14,7 @@
 #include "core/characterization.h"
 #include "core/scheduler.h"
 #include "obs/metrics.h"
+#include "obs/slo.h"
 
 namespace acsel::serve {
 
@@ -155,22 +156,6 @@ struct FeedbackResponse {
   ResponseStatus status = ResponseStatus::Ok;
 };
 
-/// One SLO alert record in a StatsResponse — the wire form of obs::Alert.
-struct AlertSnapshot {
-  std::string slo;
-  std::uint64_t fired_tick = 0;
-  std::uint64_t cleared_tick = 0;  ///< 0 while the alert is active
-  double fast_burn = 0.0;
-  double slow_burn = 0.0;
-  double worst_value = 0.0;
-  double membership_transitions = 0.0;
-  double promotions = 0.0;
-  double rollbacks = 0.0;
-  std::vector<std::uint64_t> exemplar_trace_ids;
-
-  bool operator==(const AlertSnapshot&) const = default;
-};
-
 struct StatsResponse {
   std::uint64_t request_id = 0;
   ResponseStatus status = ResponseStatus::Ok;
@@ -180,7 +165,7 @@ struct StatsResponse {
   std::vector<obs::MetricSnapshot> metrics;
   /// Every SLO alert fired so far, in fire order (empty when the
   /// responder runs no SloEngine).
-  std::vector<AlertSnapshot> alerts;
+  std::vector<obs::Alert> alerts;
 };
 
 /// What the server calls into when adaptation is wired up — implemented

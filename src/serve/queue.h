@@ -17,7 +17,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <limits>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -29,12 +28,7 @@ namespace acsel::serve {
 template <typename T>
 class BoundedQueue {
  public:
-  /// `slots` defaults to unbounded for plain-queue use, where pops never
-  /// wait for a slot and need not be released; wait_idle() is only
-  /// meaningful when every claim is released.
-  explicit BoundedQueue(
-      std::size_t capacity,
-      std::size_t slots = std::numeric_limits<std::size_t>::max())
+  BoundedQueue(std::size_t capacity, std::size_t slots)
       : capacity_(capacity), slots_(slots) {
     ACSEL_CHECK_MSG(capacity >= 1, "queue capacity must be >= 1");
     ACSEL_CHECK_MSG(slots >= 1, "queue needs >= 1 execution slot");
@@ -43,12 +37,9 @@ class BoundedQueue {
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
-  /// Enqueues unless the queue is full or closed; returns whether the
-  /// item was accepted. Never blocks.
-  bool try_push(T item) { return try_push(std::move(item), capacity_); }
-
   /// Enqueues unless the queue already holds `admission_limit` items (or
-  /// is full or closed) — the priority-admission primitive: lower classes
+  /// is full or closed); returns whether the item was accepted. Never
+  /// blocks. This is the priority-admission primitive: lower classes
   /// push with a lower limit, so under pressure they are shed while the
   /// headroom between their limit and capacity stays reserved for higher
   /// classes. Admission only; the drain stays strictly FIFO, so items
@@ -63,21 +54,6 @@ class BoundedQueue {
       items_.push_back(std::move(item));
     }
     cv_.notify_one();
-    return true;
-  }
-
-  /// Blocks until an item and a free slot are available, or the queue is
-  /// closed and drained; returns whether `out` was filled (and a slot
-  /// claimed).
-  bool pop(T& out) {
-    std::unique_lock<std::mutex> lock{mu_};
-    wait_for_work(lock);
-    if (items_.empty()) {
-      return false;
-    }
-    out = std::move(items_.front());
-    items_.pop_front();
-    claim_popped();
     return true;
   }
 
@@ -148,13 +124,6 @@ class BoundedQueue {
   std::size_t size() const {
     std::lock_guard<std::mutex> lock{mu_};
     return items_.size();
-  }
-
-  std::size_t capacity() const { return capacity_; }
-
-  bool closed() const {
-    std::lock_guard<std::mutex> lock{mu_};
-    return closed_;
   }
 
  private:

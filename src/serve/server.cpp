@@ -14,6 +14,15 @@ namespace acsel::serve {
 
 namespace {
 
+/// Priority admission: the queue-depth fraction beyond which Low /
+/// Normal requests are shed (High always admits up to full capacity).
+/// Lower classes give up their share of the queue first, so under
+/// sustained pressure the Low shed rate exceeds Normal exceeds High,
+/// while the FIFO drain — and thus already-admitted work — is never
+/// starved or reordered.
+constexpr double kLowPriorityAdmission = 0.50;
+constexpr double kNormalPriorityAdmission = 0.80;
+
 /// Batch-local memo key for the prediction cache: the wire encoding of a
 /// request's sample pair is a canonical, bit-exact byte representation of
 /// everything predict() consumes, so identical samples — and only
@@ -104,14 +113,6 @@ Server::Server(ModelRegistry& registry, ServerOptions options)
       queue_(options.queue_capacity, options.workers) {
   ACSEL_CHECK_MSG(options_.workers >= 1, "server needs >= 1 worker");
   ACSEL_CHECK_MSG(options_.max_batch >= 1, "server needs max_batch >= 1");
-  ACSEL_CHECK_MSG(options_.low_priority_admission >= 0.0 &&
-                      options_.low_priority_admission <= 1.0 &&
-                      options_.normal_priority_admission >= 0.0 &&
-                      options_.normal_priority_admission <= 1.0,
-                  "priority admission fractions must be within [0, 1]");
-  ACSEL_CHECK_MSG(
-      options_.low_priority_admission <= options_.normal_priority_admission,
-      "low-priority admission must not exceed normal-priority admission");
   workers_.reserve(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -134,12 +135,10 @@ std::size_t Server::admission_limit(Priority priority) const {
       return options_.queue_capacity;
     case Priority::Normal:
       return std::max<std::size_t>(
-          1, static_cast<std::size_t>(capacity *
-                                      options_.normal_priority_admission));
+          1, static_cast<std::size_t>(capacity * kNormalPriorityAdmission));
     case Priority::Low:
       return std::max<std::size_t>(
-          1, static_cast<std::size_t>(capacity *
-                                      options_.low_priority_admission));
+          1, static_cast<std::size_t>(capacity * kLowPriorityAdmission));
   }
   return options_.queue_capacity;
 }

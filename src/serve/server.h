@@ -60,14 +60,6 @@ struct ServerOptions {
   /// Circuit breaker around the current model version (version-0
   /// requests); disabled by default.
   BreakerOptions breaker;
-  /// Priority admission: the queue-depth fraction beyond which Low /
-  /// Normal requests are shed (High always admits up to full capacity).
-  /// Lower classes give up their share of the queue first, so under
-  /// sustained pressure the Low shed rate exceeds Normal exceeds High,
-  /// while the FIFO drain — and thus already-admitted work — is never
-  /// starved or reordered.
-  double low_priority_admission = 0.50;
-  double normal_priority_admission = 0.80;
 };
 
 class Server {

@@ -14,6 +14,14 @@ namespace acsel::zoo {
 
 namespace {
 
+/// Power cap as a quantile of each *serving* archetype's per-config power
+/// range — a fixed wattage would be trivially infeasible on the HPC node
+/// and trivially slack on the edge class.
+constexpr double kCapQuantile = 0.6;
+/// Adapt rounds before giving up on recovery (each round feeds every
+/// kernel's feedback once).
+constexpr int kMaxRounds = 30;
+
 /// The adapt tuning of the transfer loop, mirroring bench/adapt_loop: a
 /// CUSUM detector so a rejected canary can re-fire on the still-biased
 /// residuals, full shadowing, and a cluster budget sized for the
@@ -73,9 +81,6 @@ adapt::Feedback feedback_for(const core::Predictor& model,
 TransferEval::TransferEval(TransferOptions options)
     : options_(options), cache_(kArchetypeCount) {
   ACSEL_CHECK_MSG(options_.kernels >= 2, "transfer needs >= 2 kernels");
-  ACSEL_CHECK_MSG(
-      options_.cap_quantile > 0.0 && options_.cap_quantile < 1.0,
-      "cap_quantile must be in (0, 1)");
 }
 
 double TransferEval::mean_error(const core::Predictor& model,
@@ -124,7 +129,7 @@ const ArchData& TransferEval::data(Archetype archetype) {
   }
   std::sort(powers.begin(), powers.end());
   data.cap_w = powers[static_cast<std::size_t>(
-      options_.cap_quantile * static_cast<double>(powers.size() - 1))];
+      kCapQuantile * static_cast<double>(powers.size() - 1))];
 
   data.model = core::make_predictor(core::train(data.truths).model);
   data.matched_error =
@@ -176,7 +181,7 @@ TransferResult TransferEval::run(Archetype train_arch, Archetype serve_arch) {
 
   std::uint64_t promotions_seen = 0;
   int last_promotion_round = 0;
-  for (int round = 0; round < options_.max_rounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     for (const core::KernelCharacterization& truth : serving.truths) {
       controller.observe(feedback_for(*registry.current().model, truth,
                                       serving.cap_w, options_.goal));

@@ -31,10 +31,6 @@ struct TransferOptions {
   std::uint64_t seed = 90210;
   /// Kernels characterized per archetype (first N of the standard suite).
   std::size_t kernels = 10;
-  /// Power cap as a quantile of each *serving* archetype's per-config
-  /// power range — a fixed wattage would be trivially infeasible on the
-  /// HPC node and trivially slack on the edge class.
-  double cap_quantile = 0.6;
   core::SchedulingGoal goal = core::SchedulingGoal::MaxPerformance;
   /// Weight of a cap violation in the transfer score (score = selection
   /// error + penalty * violation rate) and in the adapt loop's canary
@@ -42,9 +38,6 @@ struct TransferOptions {
   /// cap on every request — under a power cap that is the cliff, not a
   /// win, so violations must carry weight.
   double violation_penalty = 1.0;
-  /// Adapt rounds before giving up on recovery (each round feeds every
-  /// kernel's feedback once).
-  int max_rounds = 30;
   /// Executor for characterization and retrains; nullptr = inline.
   exec::Executor* executor = nullptr;
 };
@@ -98,8 +91,9 @@ class TransferEval {
   const ArchData& data(Archetype archetype);
 
   /// Runs one matrix cell. Off-diagonal: publish A's model, stream B's
-  /// feedback through an AdaptController until it promotes (or
-  /// max_rounds), then score the registry's final model on B.
+  /// feedback through an AdaptController until it promotes (or gives up
+  /// after a fixed number of rounds), then score the registry's final
+  /// model on B.
   TransferResult run(Archetype train_arch, Archetype serve_arch);
 
   /// The full ordered matrix over `archetypes` (diagonal included — the

@@ -174,8 +174,7 @@ TEST(Soak, MiniSoakHoldsTheConservationContracts) {
   options.traffic.kernels = world_options.kernels;
   options.fleet.shards = 2;
   options.fleet.replicas = 2;
-  options.fleet.budget.global_budget_w =
-      2.0 * options.fleet.budget.nominal_cap_w;
+  options.fleet.budget.global_budget_w = 2.0 * fleet::kNominalCapW;
   options.adapt = soak_adapt_defaults();
   options.measure_every = 8;
   options.script = {

@@ -68,8 +68,8 @@ TEST_P(BudgetPolicyTest, BudgetBelowFloorSumVoidsTheFloors) {
   BudgetBalancer balancer{kShards, options_with(GetParam())};
   // 4 shards x 10 W floor = 40 W of floors; 20 W of facility. A
   // floor-respecting split would allocate 40 W that do not exist.
-  const double floor_sum = static_cast<double>(kShards) *
-                           options_with(GetParam()).allocator.floor_w;
+  const double floor_sum =
+      static_cast<double>(kShards) * cluster::kAllocationFloorW;
   balancer.set_emergency_budget(0.5 * floor_sum);
   const std::vector<std::uint64_t> demand = {10, 20, 30, 40};
   const std::vector<bool> dead(kShards, false);
@@ -165,8 +165,7 @@ TEST(BudgetBrownout, DeliberateReprovisioningIsNotAnEmergency) {
 
 TEST(BudgetBrownout, LatencyScaleIsNormalizedAndMonotone) {
   BudgetBalancer balancer{1, BudgetOptions{}};
-  EXPECT_NEAR(balancer.latency_scale_at(BudgetOptions{}.nominal_cap_w), 1.0,
-              1e-12);
+  EXPECT_NEAR(balancer.latency_scale_at(kNominalCapW), 1.0, 1e-12);
   // Less power never serves faster.
   double previous = balancer.latency_scale_at(40.0);
   for (double cap = 38.0; cap >= 8.0; cap -= 2.0) {

@@ -197,13 +197,12 @@ TEST_F(FleetTest, DeadShardReroutesUntilDetectedThenSkipsFanout) {
   EXPECT_GT(stats.replica_timeouts, 0u);
 
   // Failure detection is deterministic in logical ticks: silent through
-  // suspect_after -> Suspect, through dead_after -> Dead, sticky.
-  for (std::uint64_t t = 0; t < options.membership.suspect_after; ++t) {
+  // kSuspectAfterTicks -> Suspect, through kDeadAfterTicks -> Dead, sticky.
+  for (std::uint64_t t = 0; t < kSuspectAfterTicks; ++t) {
     fleet.tick();
   }
   EXPECT_EQ(fleet.membership().state(NodeId{home, 0}), NodeState::Suspect);
-  for (std::uint64_t t = options.membership.suspect_after;
-       t < options.membership.dead_after; ++t) {
+  for (std::uint64_t t = kSuspectAfterTicks; t < kDeadAfterTicks; ++t) {
     fleet.tick();
   }
   EXPECT_EQ(fleet.membership().state(NodeId{home, 0}), NodeState::Dead);
@@ -523,7 +522,7 @@ TEST_F(FleetTest, DeliveredSloFiresUnderNodeLossAndClearsAfterRevive) {
   EXPECT_EQ(fired.slo, "fleet.delivered");
   EXPECT_TRUE(fired.active());
   EXPECT_GE(fired.fast_burn, 1.0);
-  EXPECT_LT(fired.worst_value, options.slo.delivered_objective);
+  EXPECT_LT(fired.worst_value, kDeliveredObjective);
   // The wire scrape carries the firing alert as an alert row.
   const serve::StatsResponse scraped = scrape(fleet);
   ASSERT_EQ(scraped.alerts.size(), 1u);

@@ -1,8 +1,10 @@
 // Tests for the obs JSON parser and escaper: grammar coverage, escape
-// handling (incl. surrogate pairs), strictness on malformed input, and
-// the escape -> parse round-trip the trace/metrics exporters rely on.
+// handling (incl. surrogate pairs), strictness on malformed input, the
+// nesting-depth bound, and the escape -> parse round-trip the trace
+// exporter relies on.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <string>
 
 #include "obs/json.h"
@@ -65,6 +67,27 @@ TEST(Json, RejectsMalformedInput) {
         "{\"a\": 1,}", "--1", "\"\x01\""}) {
     EXPECT_THROW(JsonValue::parse(bad), Error) << "input: " << bad;
   }
+}
+
+// Nesting is bounded: kMaxDepth levels parse, one more is refused, and a
+// long run of openers fails with a typed error instead of exhausting the
+// stack.
+TEST(Json, NestingDepthIsBounded) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_EQ(JsonValue::parse(nested(JsonValue::kMaxDepth)).type(),
+            JsonValue::Type::Array);
+  EXPECT_THROW(JsonValue::parse(nested(JsonValue::kMaxDepth + 1)), Error);
+
+  constexpr std::size_t kRun = 1'000'000;
+  EXPECT_THROW(JsonValue::parse(std::string(kRun, '[')), Error);
+  std::string objects;
+  objects.reserve(5 * kRun);
+  for (std::size_t i = 0; i < kRun; ++i) {
+    objects += "{\"a\":";
+  }
+  EXPECT_THROW(JsonValue::parse(objects), Error);
 }
 
 TEST(Json, AccessorsThrowOnTypeMismatch) {

@@ -1,6 +1,6 @@
 // Tests for the obs metric registry: counter/gauge/histogram semantics,
 // histogram merge, concurrent recording (exercised under TSan in CI),
-// registry snapshot/reset, and the text/CSV/JSON exporters.
+// registry snapshot/reset, and the text/CSV exporters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/json.h"
 #include "obs/metrics.h"
 #include "util/csv.h"
 #include "util/error.h"
@@ -185,29 +184,6 @@ TEST(Exporters, CsvMatchesHeaderAndRowCount) {
   EXPECT_EQ(doc.rows[1][doc.column("name")], "requests");
   EXPECT_EQ(doc.rows[1][doc.column("count")], "5");
   EXPECT_EQ(doc.rows[0][doc.column("kind")], "gauge");
-}
-
-TEST(Exporters, JsonParsesBackWithSameValues) {
-  Registry registry;
-  registry.counter("req \"quoted\"").add(9);
-  registry.gauge("temp").set(-3.25);
-  registry.histogram("lat").record(1000);
-  registry.histogram("lat").record(3000);
-  std::ostringstream out;
-  write_registry_json(registry.snapshot(), out);
-
-  const JsonValue doc = JsonValue::parse(out.str());
-  const auto& metrics = doc.at("metrics").items();
-  ASSERT_EQ(metrics.size(), 3u);
-  // Registry order is by name: lat, req "quoted", temp.
-  EXPECT_EQ(metrics[0].at("name").as_string(), "lat");
-  EXPECT_EQ(metrics[0].at("kind").as_string(), "histogram");
-  EXPECT_DOUBLE_EQ(metrics[0].at("count").as_number(), 2.0);
-  EXPECT_DOUBLE_EQ(metrics[0].at("max_us").as_number(), 3.0);
-  EXPECT_EQ(metrics[1].at("name").as_string(), "req \"quoted\"");
-  EXPECT_DOUBLE_EQ(metrics[1].at("count").as_number(), 9.0);
-  EXPECT_EQ(metrics[2].at("name").as_string(), "temp");
-  EXPECT_DOUBLE_EQ(metrics[2].at("value").as_number(), -3.25);
 }
 
 TEST(Exporters, TextTableListsEveryMetric) {

@@ -89,7 +89,7 @@ StatsResponse random_stats_response(Rng& rng) {
     metric.max_us = value(rng);
   }
   response.alerts.resize(static_cast<std::size_t>(rng.uniform_index(3)));
-  for (AlertSnapshot& alert : response.alerts) {
+  for (obs::Alert& alert : response.alerts) {
     alert.slo = random_string(rng);
     alert.fired_tick = 1 + rng.uniform_index(1000);
     alert.cleared_tick =

@@ -908,7 +908,7 @@ TEST(ServeCodec, RequestDeadlineRoundTrips) {
 
 StatsResponse make_alert_response() {
   StatsResponse response = make_stats_response();
-  AlertSnapshot alert;
+  obs::Alert alert;
   alert.slo = "fleet.delivered";
   alert.fired_tick = 61;
   alert.cleared_tick = 0;  // active
@@ -919,7 +919,7 @@ StatsResponse make_alert_response() {
   alert.promotions = 1.0;
   alert.rollbacks = 0.0;
   alert.exemplar_trace_ids = {0x1234567890abcdefULL, 42};
-  AlertSnapshot cleared = alert;
+  obs::Alert cleared = alert;
   cleared.slo = "fleet.p99";
   cleared.cleared_tick = 90;
   response.alerts = {alert, cleared};

@@ -32,7 +32,7 @@ namespace {
 // ---- queue admission ---------------------------------------------------
 
 TEST(PriorityQueueAdmission, LowerLimitsShedWhileCapacityRemains) {
-  BoundedQueue<int> queue{10};
+  BoundedQueue<int> queue{10, 1};
   // Fill to a Low-class limit of 5: the 6th Low push sheds even though
   // half the queue is still free...
   for (int i = 0; i < 5; ++i) {
@@ -53,14 +53,15 @@ TEST(PriorityQueueAdmission, LowerLimitsShedWhileCapacityRemains) {
   // The drain is strictly FIFO: admission classes never reorder or
   // starve items already accepted.
   for (int expected = 0; expected < 10; ++expected) {
-    int out = -1;
-    ASSERT_TRUE(queue.pop(out));
-    EXPECT_EQ(out, expected);
+    std::vector<int> out;
+    ASSERT_EQ(queue.pop_batch(out, 1), 1u);
+    EXPECT_EQ(out, (std::vector<int>{expected}));
+    queue.release();
   }
 }
 
 TEST(PriorityQueueAdmission, LimitAboveCapacityClampsToCapacity) {
-  BoundedQueue<int> queue{2};
+  BoundedQueue<int> queue{2, 1};
   EXPECT_TRUE(queue.try_push(0, 100));
   EXPECT_TRUE(queue.try_push(1, 100));
   EXPECT_FALSE(queue.try_push(2, 100));

@@ -193,27 +193,29 @@ TEST_F(ServeTest, RegistryPublishFileRoundTrips) {
 // ---- bounded queue -----------------------------------------------------
 
 TEST(ServeQueue, ShedsWhenFullAndDrainsOnClose) {
-  BoundedQueue<int> queue{2};
-  EXPECT_TRUE(queue.try_push(1));
-  EXPECT_TRUE(queue.try_push(2));
-  EXPECT_FALSE(queue.try_push(3));  // full -> shed
+  BoundedQueue<int> queue{2, 1};
+  EXPECT_TRUE(queue.try_push(1, 2));
+  EXPECT_TRUE(queue.try_push(2, 2));
+  EXPECT_FALSE(queue.try_push(3, 2));  // full -> shed
   EXPECT_EQ(queue.size(), 2u);
 
   queue.close();
-  EXPECT_FALSE(queue.try_push(4));  // closed -> shed
-  int out = 0;
-  EXPECT_TRUE(queue.pop(out));
-  EXPECT_EQ(out, 1);
+  EXPECT_FALSE(queue.try_push(4, 2));  // closed -> shed
+  std::vector<int> first;
+  EXPECT_EQ(queue.pop_batch(first, 1), 1u);
+  EXPECT_EQ(first, (std::vector<int>{1}));
+  queue.release();
   std::vector<int> batch;
   EXPECT_EQ(queue.pop_batch(batch, 8), 1u);  // drains the remainder
   EXPECT_EQ(batch, (std::vector<int>{2}));
+  queue.release();
   EXPECT_EQ(queue.pop_batch(batch, 8), 0u);  // closed and empty
 }
 
 TEST(ServeQueue, PopBatchTakesAtMostMaxItems) {
-  BoundedQueue<int> queue{8};
+  BoundedQueue<int> queue{8, 1};
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(queue.try_push(i));
+    ASSERT_TRUE(queue.try_push(i, 8));
   }
   std::vector<int> batch;
   EXPECT_EQ(queue.pop_batch(batch, 3), 3u);
@@ -223,10 +225,10 @@ TEST(ServeQueue, PopBatchTakesAtMostMaxItems) {
 
 TEST(ServeQueue, IdleClaimsNeedAnOpenEmptyQueueAndAFreeSlot) {
   BoundedQueue<int> queue{4, 2};
-  ASSERT_TRUE(queue.try_push(1));
+  ASSERT_TRUE(queue.try_push(1, 4));
   EXPECT_FALSE(queue.try_claim_idle());  // an item waits; it goes first
-  int out = 0;
-  ASSERT_TRUE(queue.pop(out));           // claims slot 1 of 2
+  std::vector<int> out;
+  ASSERT_EQ(queue.pop_batch(out, 1), 1u);  // claims slot 1 of 2
   EXPECT_TRUE(queue.try_claim_idle());   // empty again: slot 2
   EXPECT_FALSE(queue.try_claim_idle());  // both slots held
   queue.release();
@@ -240,12 +242,12 @@ TEST(ServeQueue, IdleClaimsNeedAnOpenEmptyQueueAndAFreeSlot) {
 TEST(ServeQueue, PopWaitsForAFreeSlot) {
   BoundedQueue<int> queue{4, 1};
   ASSERT_TRUE(queue.try_claim_idle());
-  ASSERT_TRUE(queue.try_push(7));
+  ASSERT_TRUE(queue.try_push(7, 4));
   std::atomic<bool> popped{false};
   std::thread consumer{[&] {
-    int out = 0;
-    EXPECT_TRUE(queue.pop(out));
-    EXPECT_EQ(out, 7);
+    std::vector<int> out;
+    EXPECT_EQ(queue.pop_batch(out, 1), 1u);
+    EXPECT_EQ(out, (std::vector<int>{7}));
     popped = true;
   }};
   std::this_thread::sleep_for(std::chrono::milliseconds{50});
@@ -294,7 +296,7 @@ TEST(ServeQueue, ClosedQueueWakesEveryConsumerOnceDrained) {
     std::this_thread::sleep_for(std::chrono::milliseconds{50});
   };
   pause();
-  ASSERT_TRUE(queue->try_push(1));
+  ASSERT_TRUE(queue->try_push(1, 8));
   queue->close();
   pause();
   queue->release();  // one consumer takes the item, draining the queue
