@@ -12,6 +12,7 @@
 #include <memory>
 
 #include "bench_common.h"
+#include "core/gp_model.h"
 #include "core/scheduler.h"
 #include "core/trainer.h"
 #include "eval/characterize.h"
@@ -69,6 +70,29 @@ void BM_GpPredictionFullPipeline(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GpPredictionFullPipeline);
+
+void BM_GpRegressorFit(benchmark::State& state) {
+  // One offline GP fit at the trainer's row cap: 256 rows of 12 features
+  // (the power GP's shape) under the default hyperparameters. The
+  // kernel matrix's Cholesky factorization is most of it.
+  constexpr std::size_t kRows = 256;
+  constexpr std::size_t kFeatures = 12;
+  Rng rng{11};
+  linalg::Matrix x{kRows, kFeatures};
+  std::vector<double> y(kRows);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    double sum = 0.0;
+    for (std::size_t c = 0; c < kFeatures; ++c) {
+      x(r, c) = rng.uniform();
+      sum += x(r, c);
+    }
+    y[r] = sum + rng.normal(0.0, 0.1);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::GpRegressor::fit(x, y));
+  }
+}
+BENCHMARK(BM_GpRegressorFit);
 
 void BM_TreeClassification(benchmark::State& state) {
   const auto& samples = offline().characterizations[3].samples;

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <sstream>
 
 #include "core/features.h"
+#include "linalg/tile_solve.h"
 #include "obs/trace.h"
 #include "util/error.h"
 #include "util/strings.h"
@@ -14,24 +14,10 @@ namespace acsel::core {
 
 namespace {
 
-/// Two doubles as one vector register (GCC/Clang vector extension).
-/// Arithmetic on it is lane-wise: each lane gets exactly the scalar
-/// operation, so pairing columns changes no result bit.
-using DoublePair = double __attribute__((vector_size(16)));
-
-DoublePair load_pair(const double* p) {
-  DoublePair v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-void store_pair(double* p, DoublePair v) { std::memcpy(p, &v, sizeof v); }
-
-DoublePair splat(double x) { return DoublePair{x, x}; }
-
-/// Columns per tile of the blocked forward solve: the four register
-/// pairs its inner loop keeps.
-constexpr std::size_t kTileColumns = 8;
+/// Terms of power_features that depend on the configuration only (0-7);
+/// terms 8-11 read the samples.
+constexpr std::size_t kConfigTerms = 8;
+constexpr std::size_t kSampleTerms = 4;
 
 double squared_distance(std::span<const double> a, std::span<const double> b) {
   double sum = 0.0;
@@ -155,31 +141,41 @@ GpRegressor::MeanVariance GpRegressor::predict(
 
 std::vector<GpRegressor::MeanVariance> GpRegressor::predict_rows(
     const linalg::Matrix& points) const {
-  ACSEL_CHECK_MSG(!y_.empty(), "GpRegressor::predict before fit/parse");
-  ACSEL_CHECK_MSG(points.cols() == x_.cols(),
+  ACSEL_CHECK_MSG(y_.empty() || points.cols() == x_.cols(),
                   "GpRegressor::predict: feature count mismatch");
-  const std::size_t n = y_.size();
   const std::size_t d = x_.cols();
-  const std::size_t m = points.rows();
-  const double inv_2l2 = 1.0 / (2.0 * length_scale_ * length_scale_);
   const double* const x = x_.data().data();
+  return predict_distances(
+      points.rows(), [&](std::size_t c, std::span<double> squared) {
+        const std::span<const double> point = points.row(c);
+        for (std::size_t i = 0; i < squared.size(); ++i) {
+          squared[i] = squared_distance({x + i * d, d}, point);
+        }
+      });
+}
+
+std::vector<GpRegressor::MeanVariance> GpRegressor::predict_distances(
+    std::size_t m, const DistanceFill& fill) const {
+  ACSEL_CHECK_MSG(!y_.empty(), "GpRegressor::predict before fit/parse");
+  const std::size_t n = y_.size();
+  const double inv_2l2 = 1.0 / (2.0 * length_scale_ * length_scale_);
+  const linalg::TileSolve& solve = linalg::tile_solve();
 
   // Row i of the n × stride block holds k(x_i, point c) in column c.
   // Every column is summed in i order from 0.0, as linalg::dot sums, so
   // each mean and variance below is bitwise the single-point result.
   // The stride pads the columns to whole tiles of the solve below (the
   // padding columns stay 0).
-  const std::size_t stride = (m + kTileColumns - 1) / kTileColumns *
-                             kTileColumns;
+  const std::size_t stride =
+      (m + solve.tile_columns - 1) / solve.tile_columns * solve.tile_columns;
   std::vector<double> block(n * stride);
+  std::vector<double> squared(n);
   std::vector<MeanVariance> out(m);
   for (std::size_t c = 0; c < m; ++c) {
-    const std::span<const double> point = points.row(c);
+    fill(c, squared);
     double mean = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      const double k =
-          signal_variance_ *
-          std::exp(-squared_distance({x + i * d, d}, point) * inv_2l2);
+      const double k = signal_variance_ * std::exp(-squared[i] * inv_2l2);
       block[i * stride + c] = k;
       mean += k * alpha_[i];
     }
@@ -188,40 +184,10 @@ std::vector<GpRegressor::MeanVariance> GpRegressor::predict_rows(
 
   // var = k(x*,x*) + noise - |L⁻¹ k*|² — the posterior shrinks toward the
   // noise floor at training points and opens to signal + noise far away.
-  // The forward solve overwrites the block with v = L⁻¹ k*, one tile of
-  // 8 columns at a time: the tile's n rows stay in L1 cache, and row i
-  // of the tile stays in four registers while it takes its updates from
-  // rows 0..i-1. Each column still takes them one subtraction at a time
-  // in j order, then its division, exactly as a single-column solve
-  // does; the factor is read once per tile, not once per column.
+  // The tiled solve overwrites the block with v = L⁻¹ k* and sums each
+  // column's |v|² in the operation order of a single-column solve.
   std::vector<double> reduction(stride, 0.0);
-  for (std::size_t c0 = 0; c0 < stride; c0 += kTileColumns) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::span<const double> li = l_.row(i);
-      double* const vi = block.data() + i * stride + c0;
-      DoublePair v0 = load_pair(vi);
-      DoublePair v1 = load_pair(vi + 2);
-      DoublePair v2 = load_pair(vi + 4);
-      DoublePair v3 = load_pair(vi + 6);
-      for (std::size_t j = 0; j < i; ++j) {
-        const DoublePair lij = splat(li[j]);
-        const double* const vj = block.data() + j * stride + c0;
-        v0 -= lij * load_pair(vj);
-        v1 -= lij * load_pair(vj + 2);
-        v2 -= lij * load_pair(vj + 4);
-        v3 -= lij * load_pair(vj + 6);
-      }
-      const DoublePair lii = splat(li[i]);
-      store_pair(vi, v0 / lii);
-      store_pair(vi + 2, v1 / lii);
-      store_pair(vi + 4, v2 / lii);
-      store_pair(vi + 6, v3 / lii);
-      for (std::size_t c = 0; c < kTileColumns; ++c) {
-        reduction[c0 + c] += vi[c] * vi[c];
-      }
-    }
-  }
-
+  solve.solve(l_, block, stride, reduction);
   for (std::size_t c = 0; c < m; ++c) {
     out[c].variance =
         std::max(0.0, signal_variance_ + noise_variance_ - reduction[c]);
@@ -297,9 +263,27 @@ GpPredictor::GpPredictor(std::vector<ClusterSurrogate> clusters,
         "GP feature count mismatch");
   }
 
+  // Terms 0-7 of power_features do not read the samples, so any sample
+  // pair yields them.
+  const std::size_t n = space_.size();
+  const SamplePair no_samples{};
+  power_prefix_.reserve(clusters_.size());
+  for (const ClusterSurrogate& surrogate : clusters_) {
+    const linalg::Matrix& x = surrogate.power.inputs();
+    std::vector<double> prefix(n * x.rows());
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::vector<double> pf = power_features(space_.at(i), no_samples);
+      const std::span<const double> terms{pf.data(), kConfigTerms};
+      for (std::size_t t = 0; t < x.rows(); ++t) {
+        prefix[i * x.rows() + t] =
+            squared_distance(x.row(t).first(kConfigTerms), terms);
+      }
+    }
+    power_prefix_.push_back(std::move(prefix));
+  }
+
   // One batched pass per (cluster, device) over that device's
   // configurations fills the performance table.
-  const std::size_t n = space_.size();
   perf_table_.resize(clusters_.size() * n);
   for (const hw::Device device : {hw::Device::Cpu, hw::Device::Gpu}) {
     std::vector<std::size_t> indices;
@@ -348,13 +332,51 @@ Prediction GpPredictor::predict(const SamplePair& samples) const {
   prediction.cluster = classify(samples);
 
   const std::size_t n = space_.size();
-  linalg::Matrix points{n, power_feature_names().size()};
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::vector<double> features = power_features(space_.at(i), samples);
-    std::copy(features.begin(), features.end(), points.row(i).begin());
+  const GpRegressor& power_gp = clusters_[prediction.cluster].power;
+  const linalg::Matrix& x = power_gp.inputs();
+  const std::size_t rows = x.rows();
+  // Terms 8 and 9 are the scaled sample powers, the same at every
+  // configuration; 10 and 11 are their device-gated copies, formed as
+  // power_features forms them. So each device has one tail, and its
+  // squared differences to each training row are computed once here:
+  // tails[(g * kSampleTerms + k) * rows + t] for device g (1 = GPU).
+  const std::vector<double> pf = power_features(space_.at(0), samples);
+  const double s_cpu = pf[8];
+  const double s_gpu = pf[9];
+  const double* const xd = x.data().data();
+  std::vector<double> tails(2 * kSampleTerms * rows);
+  for (std::size_t g = 0; g < 2; ++g) {
+    const double dev = g == 1 ? 1.0 : 0.0;
+    const double tail[kSampleTerms] = {s_cpu, s_gpu, dev * s_gpu,
+                                       (1.0 - dev) * s_cpu};
+    for (std::size_t k = 0; k < kSampleTerms; ++k) {
+      double* const out = tails.data() + (g * kSampleTerms + k) * rows;
+      for (std::size_t t = 0; t < rows; ++t) {
+        const double d = xd[t * x.cols() + kConfigTerms + k] - tail[k];
+        out[t] = d * d;
+      }
+    }
   }
+  // Each distance continues its tabulated terms 0-7 with terms 8-11 in
+  // feature order: bitwise the sum squared_distance forms.
+  const double* const prefix = power_prefix_[prediction.cluster].data();
   const std::vector<GpRegressor::MeanVariance> power_mv =
-      clusters_[prediction.cluster].power.predict_rows(points);
+      power_gp.predict_distances(
+          n, [&](std::size_t c, std::span<double> squared) {
+            const double* const p = prefix + c * rows;
+            const double* const q =
+                tails.data() +
+                (space_.at(c).device == hw::Device::Gpu ? kSampleTerms * rows
+                                                        : 0);
+            for (std::size_t t = 0; t < rows; ++t) {
+              double sum = p[t];
+              sum += q[t];
+              sum += q[rows + t];
+              sum += q[2 * rows + t];
+              sum += q[3 * rows + t];
+              squared[t] = sum;
+            }
+          });
   const PerfRow* const perf_rows = perf_table_.data() + prediction.cluster * n;
   const double s_perf_cpu = samples.cpu.performance();
   const double s_perf_gpu = samples.gpu.performance();

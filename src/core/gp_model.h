@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -39,8 +40,10 @@ struct GpHyperparams {
 
 /// One scalar GP regression: constant-mean prior (the training-target
 /// mean), k(a,b) = s² exp(-|a-b|² / 2ℓ²), exact posterior via Cholesky.
-/// Posteriors are evaluated in blocks: predict_rows() solves any number
-/// of query points together, and predict() is its one-row case.
+/// Posteriors are evaluated in blocks: predict_distances() solves any
+/// number of query points together from their squared distances to the
+/// training rows, predict_rows() forms those from the points, and
+/// predict() is its one-row case.
 class GpRegressor {
  public:
   GpRegressor() = default;
@@ -63,12 +66,26 @@ class GpRegressor {
   MeanVariance predict(std::span<const double> features) const;
 
   /// Posteriors at every row of `points` (cols == feature_count()), in
-  /// row order. One forward solve runs over an n × rows block in tiles
-  /// of 8 columns, reading the factor once per tile rather than once
-  /// per point; each column keeps the operation order of a single-point
-  /// solve, so row r is bitwise equal to predict(row r).
+  /// row order: predict_distances() over the points' squared distances to
+  /// the training rows. Row r is bitwise equal to predict(row r).
   std::vector<MeanVariance> predict_rows(const linalg::Matrix& points) const;
 
+  /// Writes |x_i - point c|² to squared[i] for every training row i,
+  /// summed from 0.0 in feature order (squared.size() == training_rows()).
+  using DistanceFill =
+      std::function<void(std::size_t c, std::span<double> squared)>;
+
+  /// Posteriors at m points given by their squared distances to the
+  /// training rows, in point order. One forward solve runs over an
+  /// n × m block in column tiles (linalg/tile_solve.h), reading the
+  /// factor once per tile rather than once per point; each column keeps
+  /// the operation order of a single-point solve, so a point's answer
+  /// does not depend on the others or on the tile width.
+  std::vector<MeanVariance> predict_distances(std::size_t m,
+                                              const DistanceFill& fill) const;
+
+  /// Retained training inputs, n × feature_count().
+  const linalg::Matrix& inputs() const { return x_; }
   std::size_t training_rows() const { return x_.rows(); }
   std::size_t feature_count() const { return x_.cols(); }
   double length_scale() const { return length_scale_; }
@@ -102,12 +119,18 @@ class GpRegressor {
 /// cluster — absolute power over power_features, and per-device relative
 /// performance over perf_features.
 ///
-/// The performance posteriors see the configuration only, so the
-/// constructor (which train() and both parse paths go through)
-/// tabulates them per (cluster, configuration), one predict_rows() call
-/// per (cluster, device). predict() then solves only the 54 power
-/// posteriors, in one predict_rows() call, and scales the table rows by
-/// the sample performance; its answers are bitwise those of per-point
+/// The constructor (which train() and both parse paths go through)
+/// tabulates what depends on the configuration only:
+///  * the performance posteriors, per (cluster, configuration), one
+///    predict_rows() call per (cluster, device);
+///  * per cluster, the first 8 terms of every squared distance between a
+///    configuration's power features and a power-GP training row
+///    (power_features terms 0-7 do not read the samples), summed from 0.0
+///    in feature order as the distance itself is.
+/// predict() then adds only terms 8-11, formed from the samples, to each
+/// tabulated prefix, solves the 54 power posteriors in one
+/// predict_distances() call, and scales the performance rows by the
+/// sample performance; its answers are bitwise those of per-point
 /// posteriors.
 class GpPredictor final : public Predictor {
  public:
@@ -153,6 +176,10 @@ class GpPredictor final : public Predictor {
   hw::ConfigSpace space_;
   /// cluster-major: row (c, i) at c * space_.size() + i.
   std::vector<PerfRow> perf_table_;
+  /// Per cluster, configuration-major: the squared distance's terms 0-7
+  /// between configuration i and power-GP training row t at
+  /// i * n + t, n that GP's training_rows().
+  std::vector<std::vector<double>> power_prefix_;
 };
 
 }  // namespace acsel::core

@@ -1,7 +1,8 @@
 // N-modular-redundancy voting over replica predictions (the
-// CoreGuard-NMR shape: replicate, vote, keep per-replica trust weights).
-// A shard group's replicas each answer the same SelectRequest; the voter
-// publishes the majority configuration, so one faulty replica — a corrupt
+// CoreGuard-NMR shape: replicate, then vote). A shard group's replicas
+// each answer the same SelectRequest; Voter::vote tallies the Ok replies
+// by configuration, every replica counting once, and publishes the
+// strict-majority configuration, so one faulty replica — a corrupt
 // model, a stale version a lagging node re-adopted, a bit-flipped frame —
 // cannot push a bad configuration to the caller.
 //

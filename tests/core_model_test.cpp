@@ -19,9 +19,11 @@
 #include "eval/characterize.h"
 #include "hw/config_space.h"
 #include "linalg/cholesky.h"
+#include "linalg/tile_solve.h"
 #include "pareto/frontier.h"
 #include "soc/machine.h"
 #include "util/error.h"
+#include "util/rng.h"
 #include "util/strings.h"
 #include "workloads/suite.h"
 
@@ -384,6 +386,22 @@ double squared_distance(std::span<const double> a, std::span<const double> b) {
   return sum;
 }
 
+// L⁻¹ b by scalar forward substitution, one subtraction at a time in j
+// order: the order every tiled form of the GP solve must keep.
+std::vector<double> reference_forward_solve(const linalg::Matrix& l,
+                                            std::span<const double> b) {
+  const std::size_t n = b.size();
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double sum = b[i];
+    for (std::size_t j = 0; j < i; ++j) {
+      sum -= l(i, j) * v[j];
+    }
+    v[i] = sum / l(i, i);
+  }
+  return v;
+}
+
 // One GP's posterior as a single-point scalar solve computes it, rebuilt
 // from the GP's serialized line: kernel matrix, Cholesky factor and dual
 // weights as fitting derives them, then one forward solve per point.
@@ -436,14 +454,7 @@ class ReferenceGp {
     }
     GpRegressor::MeanVariance out;
     out.mean = y_mean_ + linalg::dot(k_star, alpha_);
-    std::vector<double> v(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      double sum = k_star[i];
-      for (std::size_t j = 0; j < i; ++j) {
-        sum -= l_(i, j) * v[j];
-      }
-      v[i] = sum / l_(i, i);
-    }
+    const std::vector<double> v = reference_forward_solve(l_, k_star);
     out.variance = std::max(
         0.0, signal_variance_ + noise_variance_ - linalg::dot(v, v));
     return out;
@@ -558,6 +569,83 @@ TEST_F(GpPredictorTest, PredictMatchesPointwisePosteriorsBitwise) {
     EXPECT_EQ(prediction.per_config.front().performance, 1e-6 * s_perf);
   }
   expect_gp_matches_reference_bitwise(clamped, few, "clamped");
+}
+
+// ------------------------------------------------------ tiled GP solve --
+
+// Runs one form of the tiled forward solve on kernel blocks of m columns
+// against factors of n rows, and compares every column and its squared
+// norm memcmp-equal with the scalar solve. Odd n exercises the row a
+// two-row step leaves over; m around the 8- and 16-column tile widths
+// exercises partial tiles.
+void expect_tile_solve_matches_scalar(const linalg::TileSolve& form) {
+  // A multiple of both forms' tile widths, so both see the same block.
+  constexpr std::size_t kTile = 16;
+  for (const std::size_t n : {1u, 2u, 3u, 40u, 41u, 255u}) {
+    Rng rng{n};
+    linalg::Matrix x{n, 3};
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t c = 0; c < 3; ++c) {
+        x(i, c) = rng.uniform(-1.0, 1.0);
+      }
+    }
+    linalg::Matrix k{n, n};
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j <= i; ++j) {
+        k(i, j) = std::exp(-0.5 * squared_distance(x.row(i), x.row(j)));
+      }
+      k(i, i) += 1e-2;
+    }
+    const linalg::CholeskyFactorization chol{k};
+    for (const std::size_t m : {1u, 7u, 8u, 9u, 54u}) {
+      SCOPED_TRACE(testing::Message() << "n " << n << " m " << m);
+      const std::size_t stride = (m + kTile - 1) / kTile * kTile;
+      ASSERT_EQ(stride % form.tile_columns, 0u);
+      std::vector<double> block(n * stride, 0.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t c = 0; c < m; ++c) {
+          block[i * stride + c] = rng.uniform(-1.0, 1.0);
+        }
+      }
+      const std::vector<double> input = block;
+      std::vector<double> reduction(stride, 0.0);
+      form.solve(chol.l(), block, stride, reduction);
+      for (std::size_t c = 0; c < m; ++c) {
+        std::vector<double> column(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          column[i] = input[i * stride + c];
+        }
+        const std::vector<double> v =
+            reference_forward_solve(chol.l(), column);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(std::memcmp(&block[i * stride + c], &v[i], sizeof v[i]),
+                    0)
+              << "column " << c << " row " << i;
+        }
+        const double norm = linalg::dot(v, v);
+        ASSERT_EQ(std::memcmp(&reduction[c], &norm, sizeof norm), 0)
+            << "column " << c;
+      }
+    }
+  }
+}
+
+TEST(TileSolve, PairFormMatchesScalarSolveBitwise) {
+  expect_tile_solve_matches_scalar(linalg::pair_tile_solve());
+}
+
+TEST(TileSolve, QuadFormMatchesScalarSolveBitwise) {
+  const linalg::TileSolve* quads = linalg::quad_tile_solve();
+  if (quads == nullptr) {
+    GTEST_SKIP() << "no AVX2 on this CPU or build";
+  }
+  expect_tile_solve_matches_scalar(*quads);
+}
+
+TEST(TileSolve, ProcessUsesQuadsWhereAvailable) {
+  const linalg::TileSolve* quads = linalg::quad_tile_solve();
+  EXPECT_EQ(&linalg::tile_solve(),
+            quads != nullptr ? quads : &linalg::pair_tile_solve());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "linalg/cholesky.h"
 #include "linalg/matrix.h"
@@ -401,6 +402,47 @@ TEST(Cholesky, RejectsMatricesThatAreNotPositiveDefinite) {
   EXPECT_THROW((CholeskyFactorization{Matrix{{1.0, 2.0}, {2.0, 1.0}}}),
                Error);
   EXPECT_THROW((CholeskyFactorization{Matrix{2, 3}}), Error);
+}
+
+// The factorization row by row, each entry's sum one chain in k order.
+Matrix unblocked_cholesky(const Matrix& a) {
+  const std::size_t n = a.rows();
+  Matrix l{n, n};
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      double sum = a(i, j);
+      for (std::size_t k = 0; k < j; ++k) {
+        sum -= l(i, k) * l(j, k);
+      }
+      l(i, j) = i == j ? std::sqrt(sum) : sum / l(j, j);
+    }
+  }
+  return l;
+}
+
+TEST(Cholesky, FactorIsBitwiseTheUnblockedFactor) {
+  // Rows are factored two at a time; odd n leaves a last row alone.
+  for (const std::size_t n : {1u, 2u, 3u, 255u, 256u}) {
+    SCOPED_TRACE(n);
+    Rng rng{n};
+    Matrix b{n, n};
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        b(i, j) = rng.uniform(-1.0, 1.0);
+      }
+    }
+    // B Bᵀ + n I is symmetric positive definite.
+    Matrix a = b * b.transposed();
+    for (std::size_t i = 0; i < n; ++i) {
+      a(i, i) += static_cast<double>(n);
+    }
+    const CholeskyFactorization chol{a};
+    const Matrix reference = unblocked_cholesky(a);
+    ASSERT_EQ(chol.l().data().size(), reference.data().size());
+    EXPECT_EQ(std::memcmp(chol.l().data().data(), reference.data().data(),
+                          reference.data().size() * sizeof(double)),
+              0);
+  }
 }
 
 TEST(Cholesky, RejectsSolveWithWrongSizedRhs) {

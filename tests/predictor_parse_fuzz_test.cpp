@@ -168,7 +168,10 @@ TEST(PredictorParseFuzz, EveryIntegerFieldAtItsLimits) {
           continue;
         }
         for (const char* limit : limits) {
-          const std::string value = (version ? "v" : "") + std::string{limit};
+          std::string value{limit};
+          if (version) {
+            value.insert(value.begin(), 'v');
+          }
           const std::string bad = edit_token(text, l, t, value);
           ASSERT_EQ(violation(bad), "")
               << "line " << l << " token " << t << " = " << value;
