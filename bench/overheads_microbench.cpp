@@ -9,6 +9,7 @@
 //    R; here it is milliseconds in C++).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "bench_common.h"
@@ -70,6 +71,21 @@ void BM_GpPredictionFullPipeline(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GpPredictionFullPipeline);
+
+void BM_GpPredictionSuite(benchmark::State& state) {
+  // One gp-sqexp prediction per suite kernel per iteration. The power
+  // variance is solved only at frontier configurations, whose count
+  // differs by kernel, so one kernel alone does not show the cost.
+  const auto& characterizations = offline().characterizations;
+  for (auto _ : state) {
+    for (const auto& c : characterizations) {
+      benchmark::DoNotOptimize(offline().gp->predict(c.samples));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(characterizations.size()));
+}
+BENCHMARK(BM_GpPredictionSuite);
 
 void BM_GpRegressorFit(benchmark::State& state) {
   // One offline GP fit at the trainer's row cap: 256 rows of 12 features

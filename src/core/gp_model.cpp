@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <sstream>
 
 #include "core/features.h"
@@ -57,7 +58,8 @@ GpRegressor GpRegressor::fit(const linalg::Matrix& x,
                              const GpHyperparams& hp, std::size_t max_rows) {
   ACSEL_CHECK_MSG(x.rows() == y.size() && x.rows() > 0 && x.cols() > 0,
                   "GpRegressor::fit: shape mismatch or empty data");
-  ACSEL_CHECK_MSG(max_rows > 0, "GpRegressor::fit: max_rows must be > 0");
+  ACSEL_CHECK_MSG(max_rows > 0 && max_rows <= kMaxTrainingRows,
+                  "GpRegressor::fit: max_rows not in [1, kMaxTrainingRows]");
 
   GpRegressor gp;
   if (x.rows() <= max_rows) {
@@ -145,52 +147,83 @@ std::vector<GpRegressor::MeanVariance> GpRegressor::predict_rows(
                   "GpRegressor::predict: feature count mismatch");
   const std::size_t d = x_.cols();
   const double* const x = x_.data().data();
-  return predict_distances(
+  const KernelColumns columns = kernel_columns(
       points.rows(), [&](std::size_t c, std::span<double> squared) {
         const std::span<const double> point = points.row(c);
         for (std::size_t i = 0; i < squared.size(); ++i) {
           squared[i] = squared_distance({x + i * d, d}, point);
         }
       });
+  std::vector<std::size_t> all(points.rows());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  const std::vector<double> variance = variances(columns, all);
+  std::vector<MeanVariance> out(points.rows());
+  for (std::size_t c = 0; c < out.size(); ++c) {
+    out[c] = {columns.means[c], variance[c]};
+  }
+  return out;
 }
 
-std::vector<GpRegressor::MeanVariance> GpRegressor::predict_distances(
+GpRegressor::KernelColumns GpRegressor::kernel_columns(
     std::size_t m, const DistanceFill& fill) const {
   ACSEL_CHECK_MSG(!y_.empty(), "GpRegressor::predict before fit/parse");
   const std::size_t n = y_.size();
   const double inv_2l2 = 1.0 / (2.0 * length_scale_ * length_scale_);
-  const linalg::TileSolve& solve = linalg::tile_solve();
-
-  // Row i of the n × stride block holds k(x_i, point c) in column c.
-  // Every column is summed in i order from 0.0, as linalg::dot sums, so
-  // each mean and variance below is bitwise the single-point result.
-  // The stride pads the columns to whole tiles of the solve below (the
-  // padding columns stay 0).
-  const std::size_t stride =
-      (m + solve.tile_columns - 1) / solve.tile_columns * solve.tile_columns;
-  std::vector<double> block(n * stride);
-  std::vector<double> squared(n);
-  std::vector<MeanVariance> out(m);
+  // Each column receives its squared distances and turns them into
+  // kernel values in place. Every mean is summed in i order from 0.0, as
+  // linalg::dot sums, so it is bitwise the single-point result.
+  KernelColumns out{std::vector<double>(n * m), std::vector<double>(m)};
   for (std::size_t c = 0; c < m; ++c) {
-    fill(c, squared);
+    const std::span<double> column{out.kernel.data() + c * n, n};
+    fill(c, column);
     double mean = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      const double k = signal_variance_ * std::exp(-squared[i] * inv_2l2);
-      block[i * stride + c] = k;
+      const double k = signal_variance_ * std::exp(-column[i] * inv_2l2);
+      column[i] = k;
       mean += k * alpha_[i];
     }
-    out[c].mean = y_mean_ + mean;
+    out.means[c] = y_mean_ + mean;
   }
+  return out;
+}
+
+std::vector<double> GpRegressor::variances(
+    const KernelColumns& columns, std::span<const std::size_t> points) const {
+  const std::size_t n = y_.size();
+  const std::size_t m = columns.means.size();
+  ACSEL_CHECK_MSG(!y_.empty() && columns.kernel.size() == n * m,
+                  "GpRegressor::variances: kernel columns of another GP");
+  const linalg::TileSolve& solve = linalg::tile_solve();
+  const std::size_t width = solve.tile_columns;
 
   // var = k(x*,x*) + noise - |L⁻¹ k*|² — the posterior shrinks toward the
   // noise floor at training points and opens to signal + noise far away.
-  // The tiled solve overwrites the block with v = L⁻¹ k* and sums each
-  // column's |v|² in the operation order of a single-column solve.
-  std::vector<double> reduction(stride, 0.0);
-  solve.solve(l_, block, stride, reduction);
-  for (std::size_t c = 0; c < m; ++c) {
-    out[c].variance =
-        std::max(0.0, signal_variance_ + noise_variance_ - reduction[c]);
+  // Row i of the n × width block holds k(x_i, point) for the tile's
+  // points, one per column; the tiled solve overwrites it with
+  // v = L⁻¹ k* and sums each column's |v|² in the operation order of a
+  // single-column solve. A last, partial tile's unused columns are 0.
+  std::vector<double> block(n * width);
+  std::vector<double> reduction(width);
+  std::vector<double> out(points.size());
+  for (std::size_t p0 = 0; p0 < points.size(); p0 += width) {
+    const std::size_t count = std::min(width, points.size() - p0);
+    if (count < width) {
+      std::fill(block.begin(), block.end(), 0.0);
+    }
+    for (std::size_t t = 0; t < count; ++t) {
+      const std::size_t point = points[p0 + t];
+      ACSEL_CHECK_MSG(point < m, "GpRegressor::variances: point out of range");
+      const double* const k = columns.kernel.data() + point * n;
+      for (std::size_t i = 0; i < n; ++i) {
+        block[i * width + t] = k[i];
+      }
+    }
+    std::fill(reduction.begin(), reduction.end(), 0.0);
+    solve.solve(l_, block, width, reduction);
+    for (std::size_t t = 0; t < count; ++t) {
+      out[p0 + t] =
+          std::max(0.0, signal_variance_ + noise_variance_ - reduction[t]);
+    }
   }
   return out;
 }
@@ -220,6 +253,8 @@ GpRegressor GpRegressor::parse(const std::string& line) {
   const std::size_t n = parse_size(fields[0]);
   const std::size_t d = parse_size(fields[1]);
   ACSEL_CHECK_MSG(n > 0 && d > 0, "GpRegressor::parse: empty shape");
+  ACSEL_CHECK_MSG(n <= kMaxTrainingRows,
+                  "GpRegressor::parse: more than kMaxTrainingRows rows");
   gp.length_scale_ = parse_double(fields[2]);
   gp.signal_variance_ = parse_double(fields[3]);
   gp.noise_variance_ = parse_double(fields[4]);
@@ -360,26 +395,28 @@ Prediction GpPredictor::predict(const SamplePair& samples) const {
   // Each distance continues its tabulated terms 0-7 with terms 8-11 in
   // feature order: bitwise the sum squared_distance forms.
   const double* const prefix = power_prefix_[prediction.cluster].data();
-  const std::vector<GpRegressor::MeanVariance> power_mv =
-      power_gp.predict_distances(
-          n, [&](std::size_t c, std::span<double> squared) {
-            const double* const p = prefix + c * rows;
-            const double* const q =
-                tails.data() +
-                (space_.at(c).device == hw::Device::Gpu ? kSampleTerms * rows
-                                                        : 0);
-            for (std::size_t t = 0; t < rows; ++t) {
-              double sum = p[t];
-              sum += q[t];
-              sum += q[rows + t];
-              sum += q[2 * rows + t];
-              sum += q[3 * rows + t];
-              squared[t] = sum;
-            }
-          });
+  const GpRegressor::KernelColumns power_k = power_gp.kernel_columns(
+      n, [&](std::size_t c, std::span<double> squared) {
+        const double* const p = prefix + c * rows;
+        const double* const q =
+            tails.data() +
+            (space_.at(c).device == hw::Device::Gpu ? kSampleTerms * rows : 0);
+        for (std::size_t t = 0; t < rows; ++t) {
+          double sum = p[t];
+          sum += q[t];
+          sum += q[rows + t];
+          sum += q[2 * rows + t];
+          sum += q[3 * rows + t];
+          squared[t] = sum;
+        }
+      });
   const PerfRow* const perf_rows = perf_table_.data() + prediction.cluster * n;
   const double s_perf_cpu = samples.cpu.performance();
   const double s_perf_gpu = samples.gpu.performance();
+  // Off the frontier, power_sigma is the prior sd: the bound every
+  // posterior sd stays under (see the class comment).
+  const double prior_sigma =
+      std::sqrt(power_gp.signal_variance() + power_gp.noise_variance());
 
   prediction.per_config.reserve(n);
   std::vector<double> power(n);
@@ -388,8 +425,8 @@ Prediction GpPredictor::predict(const SamplePair& samples) const {
     const double s_perf =
         space_.at(i).device == hw::Device::Gpu ? s_perf_gpu : s_perf_cpu;
     Estimate estimate;
-    estimate.power_w = std::max(1.0, power_mv[i].mean);
-    estimate.power_sigma = std::sqrt(power_mv[i].variance);
+    estimate.power_w = std::max(1.0, power_k.means[i]);
+    estimate.power_sigma = prior_sigma;
     estimate.performance = perf_rows[i].ratio * s_perf;
     estimate.performance_sigma = perf_rows[i].sigma * s_perf;
 
@@ -398,6 +435,19 @@ Prediction GpPredictor::predict(const SamplePair& samples) const {
     prediction.per_config.push_back(estimate);
   }
   prediction.frontier = pareto::ParetoFrontier::build(power, perf);
+
+  // The power variance is solved only where the decision reads it.
+  std::vector<std::size_t> frontier_configs;
+  frontier_configs.reserve(prediction.frontier.size());
+  for (const pareto::FrontierPoint& point : prediction.frontier.points()) {
+    frontier_configs.push_back(point.config_index);
+  }
+  const std::vector<double> variance =
+      power_gp.variances(power_k, frontier_configs);
+  for (std::size_t p = 0; p < frontier_configs.size(); ++p) {
+    prediction.per_config[frontier_configs[p]].power_sigma =
+        std::sqrt(variance[p]);
+  }
   return prediction;
 }
 

@@ -40,17 +40,24 @@ struct GpHyperparams {
 
 /// One scalar GP regression: constant-mean prior (the training-target
 /// mean), k(a,b) = s² exp(-|a-b|² / 2ℓ²), exact posterior via Cholesky.
-/// Posteriors are evaluated in blocks: predict_distances() solves any
-/// number of query points together from their squared distances to the
-/// training rows, predict_rows() forms those from the points, and
-/// predict() is its one-row case.
+/// Posteriors are evaluated in two steps over a block of query points:
+/// kernel_columns() forms every point's kernel column and posterior mean
+/// from its squared distances to the training rows, and variances() runs
+/// the forward solve for only the points a caller lists. predict_rows()
+/// is both steps over every point, and predict() is its one-row case.
 class GpRegressor {
  public:
   GpRegressor() = default;
 
-  /// Fits on rows of `x` against `y`. Rows beyond `max_rows` are
-  /// deterministically strided down — O(n³) factorization cost is bounded
-  /// regardless of training-set size.
+  /// Most training rows a GP may hold: fit() refuses a larger
+  /// `max_rows` and parse() a larger row count, so the n × n factor and
+  /// its O(n³) factorization stay bounded whatever a text claims (4× the
+  /// trainer's default of 256).
+  static constexpr std::size_t kMaxTrainingRows = 1024;
+
+  /// Fits on rows of `x` against `y`. Rows beyond `max_rows` (at most
+  /// kMaxTrainingRows) are deterministically strided down — O(n³)
+  /// factorization cost is bounded regardless of training-set size.
   static GpRegressor fit(const linalg::Matrix& x, std::span<const double> y,
                          const GpHyperparams& hp = {},
                          std::size_t max_rows = 256);
@@ -66,8 +73,9 @@ class GpRegressor {
   MeanVariance predict(std::span<const double> features) const;
 
   /// Posteriors at every row of `points` (cols == feature_count()), in
-  /// row order: predict_distances() over the points' squared distances to
-  /// the training rows. Row r is bitwise equal to predict(row r).
+  /// row order: kernel_columns() over the points' squared distances to
+  /// the training rows, then variances() of every point. Row r is bitwise
+  /// equal to predict(row r).
   std::vector<MeanVariance> predict_rows(const linalg::Matrix& points) const;
 
   /// Writes |x_i - point c|² to squared[i] for every training row i,
@@ -75,14 +83,29 @@ class GpRegressor {
   using DistanceFill =
       std::function<void(std::size_t c, std::span<double> squared)>;
 
-  /// Posteriors at m points given by their squared distances to the
-  /// training rows, in point order. One forward solve runs over an
-  /// n × m block in column tiles (linalg/tile_solve.h), reading the
-  /// factor once per tile rather than once per point; each column keeps
-  /// the operation order of a single-point solve, so a point's answer
-  /// does not depend on the others or on the tile width.
-  std::vector<MeanVariance> predict_distances(std::size_t m,
-                                              const DistanceFill& fill) const;
+  /// Kernel columns and posterior means of m query points.
+  struct KernelColumns {
+    /// k(x_i, point c) at c * training_rows() + i: one contiguous column
+    /// per point.
+    std::vector<double> kernel;
+    /// Posterior mean of each point, in point order.
+    std::vector<double> means;
+  };
+
+  /// Forms the kernel column and posterior mean of m points given by
+  /// their squared distances to the training rows. Each mean is summed in
+  /// training-row order from 0.0, as a single-point posterior sums it.
+  KernelColumns kernel_columns(std::size_t m, const DistanceFill& fill) const;
+
+  /// Predictive variances of the listed points of `columns`, in list
+  /// order. The listed columns are gathered, tile_columns at a time, into
+  /// one n × tile block, and each tile takes one forward solve
+  /// (linalg/tile_solve.h), so the factor is read once per tile rather
+  /// than once per point. Each column keeps the operation order of a
+  /// single-point solve, so a point's variance does not depend on which
+  /// other points are listed or on the tile width.
+  std::vector<double> variances(const KernelColumns& columns,
+                                std::span<const std::size_t> points) const;
 
   /// Retained training inputs, n × feature_count().
   const linalg::Matrix& inputs() const { return x_; }
@@ -128,10 +151,16 @@ class GpRegressor {
 ///    (power_features terms 0-7 do not read the samples), summed from 0.0
 ///    in feature order as the distance itself is.
 /// predict() then adds only terms 8-11, formed from the samples, to each
-/// tabulated prefix, solves the 54 power posteriors in one
-/// predict_distances() call, and scales the performance rows by the
-/// sample performance; its answers are bitwise those of per-point
-/// posteriors.
+/// tabulated prefix, forms all 54 power means in one kernel_columns()
+/// call, scales the performance rows by the sample performance, and
+/// builds the frontier. Only then does it solve power variances, and
+/// only at the frontier's configurations: the scheduler and the canary
+/// read power_sigma nowhere else. So power_sigma is the posterior sd at
+/// every frontier configuration and the prior sd,
+/// sqrt(signal_variance + noise_variance), elsewhere; the posterior
+/// variance is the prior minus a squared norm, so the prior sd bounds
+/// it from above. Every other answer, and every frontier sigma, is
+/// bitwise that of a per-point posterior.
 class GpPredictor final : public Predictor {
  public:
   /// Envelope tag of this family.

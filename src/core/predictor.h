@@ -29,6 +29,10 @@ namespace acsel::core {
 /// standard deviation of *predictive* uncertainty — residual scale for
 /// regression models, posterior standard deviation for GP models — and
 /// feed the risk-averse SelectionPolicy and the variance-aware canary.
+/// Both read power_sigma only at frontier configurations, so a GP model
+/// solves it only there: its power_sigma is the posterior sd at every
+/// configuration on the prediction's frontier and the prior sd, an upper
+/// bound on the posterior sd, at every other one.
 struct Estimate {
   double power_w = 0.0;
   double performance = 0.0;

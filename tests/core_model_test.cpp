@@ -9,12 +9,17 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "adapt/canary.h"
 #include "core/features.h"
+#include "core/scheduler.h"
 #include "core/trainer.h"
 #include "eval/characterize.h"
 #include "hw/config_space.h"
@@ -455,10 +460,12 @@ class ReferenceGp {
     GpRegressor::MeanVariance out;
     out.mean = y_mean_ + linalg::dot(k_star, alpha_);
     const std::vector<double> v = reference_forward_solve(l_, k_star);
-    out.variance = std::max(
-        0.0, signal_variance_ + noise_variance_ - linalg::dot(v, v));
+    out.variance = std::max(0.0, prior_variance() - linalg::dot(v, v));
     return out;
   }
+
+  // k(x*,x*) + noise: the variance far from every training row.
+  double prior_variance() const { return signal_variance_ + noise_variance_; }
 
  private:
   double kernel(std::span<const double> a, std::span<const double> b) const {
@@ -507,10 +514,7 @@ ReferencePrediction reference_gp_predict(const GpPredictor& model,
   return out;
 }
 
-void expect_gp_matches_reference_bitwise(
-    const GpPredictor& model,
-    const std::vector<KernelCharacterization>& characterizations,
-    const std::string& label) {
+std::vector<ReferenceGp> reference_gps(const GpPredictor& model) {
   std::vector<ReferenceGp> gps;
   for (std::size_t c = 0; c < model.cluster_count(); ++c) {
     const GpPredictor::ClusterSurrogate& surrogate = model.cluster(c);
@@ -518,18 +522,48 @@ void expect_gp_matches_reference_bitwise(
     gps.emplace_back(surrogate.perf_cpu);
     gps.emplace_back(surrogate.perf_gpu);
   }
+  return gps;
+}
+
+// predict() solves the power variance at frontier configurations only and
+// reports the prior sd elsewhere. So every answer but an off-frontier
+// power_sigma must be bitwise the pointwise one, and an off-frontier
+// power_sigma must be exactly the prior sd, which bounds the posterior sd
+// from above.
+void expect_gp_matches_reference_bitwise(
+    const GpPredictor& model,
+    const std::vector<KernelCharacterization>& characterizations,
+    const std::string& label) {
+  const std::vector<ReferenceGp> gps = reference_gps(model);
+  std::size_t off_frontier = 0;
   for (const auto& c : characterizations) {
-    expect_bitwise_equal(model.predict(c.samples),
-                         reference_gp_predict(model, gps, c.samples),
-                         label + ' ' + c.instance_id);
+    const std::string where = label + ' ' + c.instance_id;
+    ReferencePrediction want = reference_gp_predict(model, gps, c.samples);
+    const double prior_sigma =
+        std::sqrt(gps[3 * want.cluster].prior_variance());
+    std::vector<bool> on_frontier(want.per_config.size(), false);
+    for (const pareto::FrontierPoint& point : want.frontier) {
+      on_frontier[point.config_index] = true;
+    }
+    for (std::size_t i = 0; i < want.per_config.size(); ++i) {
+      if (!on_frontier[i]) {
+        EXPECT_GE(prior_sigma, want.per_config[i].power_sigma)
+            << where << " config " << i;
+        want.per_config[i].power_sigma = prior_sigma;
+        ++off_frontier;
+      }
+    }
+    expect_bitwise_equal(model.predict(c.samples), want, where);
   }
+  EXPECT_GT(off_frontier, 0u) << label;
 }
 
 TEST_F(GpPredictorTest, PredictMatchesPointwisePosteriorsBitwise) {
   // predict() reads tabulated performance posteriors and solves the
-  // power posteriors in one block; it must answer every suite kernel
-  // exactly as per-configuration scalar posteriors do, trained and
-  // parsed alike.
+  // power variances of the frontier in gathered tiles; it must answer
+  // every suite kernel exactly as per-configuration scalar posteriors do
+  // (off the frontier, power_sigma is the prior sd), trained and parsed
+  // alike.
   ASSERT_NE(gp_, nullptr);
   expect_gp_matches_reference_bitwise(*gp_, *characterizations_, "trained");
   expect_gp_matches_reference_bitwise(GpPredictor::parse(gp_->serialize()),
@@ -569,6 +603,125 @@ TEST_F(GpPredictorTest, PredictMatchesPointwisePosteriorsBitwise) {
     EXPECT_EQ(prediction.per_config.front().performance, 1e-6 * s_perf);
   }
   expect_gp_matches_reference_bitwise(clamped, few, "clamped");
+}
+
+// The full-posterior Prediction a per-point composition gives.
+Prediction full_posterior_prediction(const ReferencePrediction& reference) {
+  Prediction out;
+  out.cluster = reference.cluster;
+  out.per_config = reference.per_config;
+  std::vector<double> power;
+  std::vector<double> perf;
+  for (const Estimate& estimate : out.per_config) {
+    power.push_back(estimate.power_w);
+    perf.push_back(estimate.performance);
+  }
+  out.frontier = pareto::ParetoFrontier::build(power, perf);
+  return out;
+}
+
+// Answers every request with one fixed prediction, under another
+// predictor's configuration space and tree: what the canary scores when
+// a model reports full posteriors.
+class FixedPredictor final : public Predictor {
+ public:
+  FixedPredictor(const Predictor& model, Prediction prediction)
+      : model_(&model), prediction_(std::move(prediction)) {}
+
+  std::string_view kind() const override { return model_->kind(); }
+  std::size_t cluster_count() const override {
+    return model_->cluster_count();
+  }
+  const hw::ConfigSpace& config_space() const override {
+    return model_->config_space();
+  }
+  std::size_t classify(const SamplePair& samples) const override {
+    return model_->classify(samples);
+  }
+  Prediction predict(const SamplePair&) const override { return prediction_; }
+  std::string serialize_body() const override {
+    return model_->serialize_body();
+  }
+
+ private:
+  const Predictor* model_;
+  Prediction prediction_;
+};
+
+TEST_F(GpPredictorTest, FrontierOnlySigmasLeaveEveryDecisionUnchanged) {
+  // Off the frontier predict() reports the prior sd instead of the
+  // posterior sd. The scheduler reads power_sigma only at frontier points
+  // and the canary only at the chosen one, so under point and
+  // upper-confidence policies, every goal and caps across each kernel's
+  // power range, every choice and every selected sigma must be what full
+  // posteriors give.
+  ASSERT_NE(gp_, nullptr);
+  const std::vector<ReferenceGp> gps = reference_gps(*gp_);
+  const SelectionPolicy policies[] = {SelectionPolicy::point_estimate(),
+                                      SelectionPolicy::upper_confidence(0.5),
+                                      SelectionPolicy::upper_confidence(2.0)};
+  const SchedulingGoal goals[] = {SchedulingGoal::MaxPerformance,
+                                  SchedulingGoal::MinEnergy,
+                                  SchedulingGoal::MinEnergyDelay};
+  constexpr int kCapSteps = 48;
+  // The canary re-predicts per call, so it is scored at every 8th cap.
+  constexpr int kCanaryEvery = 8;
+  std::size_t feasible = 0;
+  std::size_t infeasible = 0;
+  for (const auto& c : *characterizations_) {
+    const Prediction got = gp_->predict(c.samples);
+    const FixedPredictor reference{
+        *gp_, full_posterior_prediction(
+                  reference_gp_predict(*gp_, gps, c.samples))};
+    const Prediction want = reference.predict(c.samples);
+    double lo = got.per_config.front().power_w;
+    double hi = lo;
+    for (const Estimate& estimate : got.per_config) {
+      lo = std::min(lo, estimate.power_w);
+      hi = std::max(hi, estimate.power_w);
+    }
+    // From below the lowest predicted power to past the highest plus any
+    // upper-confidence margin.
+    std::vector<std::optional<double>> caps{std::nullopt};
+    for (int step = 0; step <= kCapSteps; ++step) {
+      caps.emplace_back(0.8 * lo + (1.3 * hi - 0.8 * lo) * step / kCapSteps);
+    }
+    for (const SelectionPolicy& policy : policies) {
+      SchedulerOptions options;
+      options.policy = policy;
+      const Scheduler a{got, options};
+      const Scheduler b{want, options};
+      for (const SchedulingGoal goal : goals) {
+        for (std::size_t k = 0; k < caps.size(); ++k) {
+          SCOPED_TRACE(testing::Message()
+                       << c.instance_id << " z " << power_risk_z(options)
+                       << ' ' << to_string(goal) << " cap "
+                       << caps[k].value_or(0.0));
+          const Scheduler::Choice x = a.select_goal(goal, caps[k]);
+          const Scheduler::Choice y = b.select_goal(goal, caps[k]);
+          ASSERT_EQ(x.config_index, y.config_index);
+          ASSERT_EQ(x.predicted_power_w, y.predicted_power_w);
+          ASSERT_EQ(x.predicted_performance, y.predicted_performance);
+          ASSERT_EQ(x.predicted_feasible, y.predicted_feasible);
+          ++(x.predicted_feasible ? feasible : infeasible);
+          if (k % kCanaryEvery == 0) {
+            const adapt::SelectionQuality p = adapt::selection_quality(
+                *gp_, c, caps[k], goal, options);
+            const adapt::SelectionQuality q = adapt::selection_quality(
+                reference, c, caps[k], goal, options);
+            ASSERT_EQ(std::memcmp(&p.selected_power_sigma,
+                                  &q.selected_power_sigma, sizeof(double)),
+                      0);
+            ASSERT_EQ(p.error, q.error);
+            ASSERT_EQ(p.violation, q.violation);
+          }
+        }
+      }
+    }
+  }
+  // The sweep reaches both sides of every kernel's frontier.
+  EXPECT_GT(feasible, 0u);
+  EXPECT_GT(infeasible, 0u);
 }
 
 // ------------------------------------------------------ tiled GP solve --
@@ -630,6 +783,76 @@ void expect_tile_solve_matches_scalar(const linalg::TileSolve& form) {
   }
 }
 
+// Runs one form of the tiled solve as GpRegressor::variances does: a
+// subset of contiguous kernel columns, listed by non-contiguous indices,
+// gathered tile_columns at a time into one n × tile block per solve.
+// Subset sizes straddle both forms' tile widths and the frontier sizes
+// (12 to 27) the GP sees; every column and its squared norm must be
+// memcmp-equal to CholeskyFactorization::solve_lower's.
+void expect_gathered_tiles_match_scalar(const linalg::TileSolve& form) {
+  constexpr std::size_t kColumns = 54;
+  const std::size_t width = form.tile_columns;
+  for (const std::size_t n : {1u, 41u, 128u}) {
+    Rng rng{Rng::mix_seeds(n, width)};
+    linalg::Matrix k{n, n};
+    linalg::Matrix x{n, 2};
+    for (std::size_t i = 0; i < n; ++i) {
+      x(i, 0) = rng.uniform(-1.0, 1.0);
+      x(i, 1) = rng.uniform(-1.0, 1.0);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j <= i; ++j) {
+        k(i, j) = std::exp(-0.5 * squared_distance(x.row(i), x.row(j)));
+        k(j, i) = k(i, j);
+      }
+      k(i, i) += 1e-2;
+    }
+    const linalg::CholeskyFactorization chol{k};
+    // Column c at c * n, as GpRegressor::KernelColumns holds them.
+    std::vector<double> columns(kColumns * n);
+    for (double& value : columns) {
+      value = rng.uniform(-1.0, 1.0);
+    }
+    for (const std::size_t size :
+         {1u, 12u, 15u, 16u, 17u, 27u, 32u, 33u, 54u}) {
+      SCOPED_TRACE(testing::Message() << "n " << n << " subset " << size);
+      std::vector<std::size_t> order(kColumns);
+      for (std::size_t c = 0; c < kColumns; ++c) {
+        order[c] = c;
+      }
+      rng.shuffle(order);
+      const std::vector<std::size_t> subset(
+          order.begin(), order.begin() + static_cast<std::ptrdiff_t>(size));
+      std::vector<double> block(n * width);
+      std::vector<double> reduction(width);
+      for (std::size_t p0 = 0; p0 < size; p0 += width) {
+        const std::size_t count = std::min(width, size - p0);
+        std::fill(block.begin(), block.end(), 0.0);
+        std::fill(reduction.begin(), reduction.end(), 0.0);
+        for (std::size_t t = 0; t < count; ++t) {
+          for (std::size_t i = 0; i < n; ++i) {
+            block[i * width + t] = columns[subset[p0 + t] * n + i];
+          }
+        }
+        form.solve(chol.l(), block, width, reduction);
+        for (std::size_t t = 0; t < count; ++t) {
+          const std::size_t c = subset[p0 + t];
+          const std::vector<double> v = chol.solve_lower(
+              std::span<const double>{columns.data() + c * n, n});
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(std::memcmp(&block[i * width + t], &v[i], sizeof v[i]),
+                      0)
+                << "column " << c << " row " << i;
+          }
+          const double norm = linalg::dot(v, v);
+          ASSERT_EQ(std::memcmp(&reduction[t], &norm, sizeof norm), 0)
+              << "column " << c;
+        }
+      }
+    }
+  }
+}
+
 TEST(TileSolve, PairFormMatchesScalarSolveBitwise) {
   expect_tile_solve_matches_scalar(linalg::pair_tile_solve());
 }
@@ -640,6 +863,18 @@ TEST(TileSolve, QuadFormMatchesScalarSolveBitwise) {
     GTEST_SKIP() << "no AVX2 on this CPU or build";
   }
   expect_tile_solve_matches_scalar(*quads);
+}
+
+TEST(TileSolve, PairFormSolvesGatheredColumnSubsetsBitwise) {
+  expect_gathered_tiles_match_scalar(linalg::pair_tile_solve());
+}
+
+TEST(TileSolve, QuadFormSolvesGatheredColumnSubsetsBitwise) {
+  const linalg::TileSolve* quads = linalg::quad_tile_solve();
+  if (quads == nullptr) {
+    GTEST_SKIP() << "no AVX2 on this CPU or build";
+  }
+  expect_gathered_tiles_match_scalar(*quads);
 }
 
 TEST(TileSolve, ProcessUsesQuadsWhereAvailable) {

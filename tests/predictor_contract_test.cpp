@@ -111,8 +111,9 @@ TEST_F(PredictorContractTest, EstimatesAreFiniteWithNonNegativeSigma) {
 }
 
 TEST_F(PredictorContractTest, GpReportsStrictlyPositivePowerSigma) {
-  // The GP's raison d'être: a genuine posterior interval everywhere, not
-  // a single global residual constant.
+  // The GP's raison d'être: a genuine posterior interval at every
+  // frontier configuration (and the prior interval, an upper bound on it,
+  // elsewhere), not a single global residual constant.
   const auto& gp = (*predictors_)[1].predictor;
   const Prediction prediction =
       gp->predict(characterizations_->front().samples);
@@ -463,6 +464,20 @@ TEST(GpRegressor, SubsamplesDeterministicallyBeyondMaxRows) {
   const GpRegressor b = GpRegressor::fit(x, y, {}, 16);
   EXPECT_LE(a.training_rows(), 16u);
   EXPECT_EQ(a.serialize(), b.serialize());
+}
+
+TEST(GpRegressor, RefusesMaxRowsPastWhatParseAccepts) {
+  // parse() refuses more than kMaxTrainingRows rows, so fit() must never
+  // keep more: every fitted model round-trips.
+  linalg::Matrix x{4, 1};
+  const std::vector<double> y{0.0, 1.0, 2.0, 3.0};
+  for (std::size_t i = 0; i < 4; ++i) {
+    x(i, 0) = static_cast<double>(i);
+  }
+  EXPECT_NO_THROW(GpRegressor::fit(x, y, {}, GpRegressor::kMaxTrainingRows));
+  EXPECT_THROW(GpRegressor::fit(x, y, {}, GpRegressor::kMaxTrainingRows + 1),
+               Error);
+  EXPECT_THROW(GpRegressor::fit(x, y, {}, 0), Error);
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 //    bitwise-equal.
 //  - Size limits: every unsigned-integer token of both predictors' text
 //    (each size field among them, and the envelope version) set to 0,
-//    2^32, 2^63 and SIZE_MAX.
+//    2^32, 2^63 and SIZE_MAX, and a GP line claiming more training rows
+//    than GpRegressor::kMaxTrainingRows.
 //  - Mutation: token edits, truncations, dropped and duplicated lines, and
 //    bit flips.
 // A mutated text may fail to parse only with an acsel::Error subclass, and
@@ -17,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -181,6 +183,42 @@ TEST(PredictorParseFuzz, EveryIntegerFieldAtItsLimits) {
     }
   }
   EXPECT_GT(cases, 1000u);
+}
+
+TEST(PredictorParseFuzz, RefusesGpRowCountPastTheCap) {
+  // A GP line of n = 2000 one-feature rows takes under 13 KB of text, but
+  // fitting it would allocate two n × n matrices (32 MB each) and factor
+  // in O(n³). The parser must refuse it with its typed error before any
+  // of that: within the allocation cap, and quickly.
+  constexpr std::size_t kRows = 2000;
+  std::string line = std::to_string(kRows) + " 1 1 1 0.01";
+  for (std::size_t i = 0; i < kRows; ++i) {
+    line += ' ' + std::to_string(i);
+  }
+  for (std::size_t i = 0; i < kRows; ++i) {
+    line += " 0";
+  }
+  std::vector<std::string> lines = split(corpus().texts[1], '\n');
+  ASSERT_TRUE(starts_with(lines[1], "clusters "));
+  lines[2] = line;  // the first cluster's power GP
+  const std::string text = join(lines, "\n");
+
+  const auto start = std::chrono::steady_clock::now();
+  g_over_cap.store(false);
+  g_allocation_cap.store(16 * text.size() + 65536);
+  bool refused = false;
+  try {
+    (void)parse_predictor(text);
+  } catch (const Error&) {
+    refused = true;
+  } catch (...) {
+  }
+  g_allocation_cap.store(SIZE_MAX);
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_TRUE(refused);
+  EXPECT_FALSE(g_over_cap.load());
+  EXPECT_LT(elapsed.count(), 0.5);
 }
 
 class FuzzPredictorText : public ::testing::TestWithParam<std::uint64_t> {};
