@@ -13,7 +13,9 @@
 //   acsel_cli suite                           list the kernel instances
 //
 // The CSV and model files are the same formats the library uses
-// everywhere (profile::Profiler::write_csv, core::TrainedModel::save).
+// everywhere (profile::Profiler::write_csv, core::Predictor::save).
+// predict and schedule read the model with core::load_predictor, so they
+// take a model file of either family (cluster-cart or gp-sqexp).
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -174,11 +176,11 @@ core::SamplePair take_samples(soc::Machine& machine,
 }
 
 int cmd_predict(const std::string& model_path, const std::string& id) {
-  const auto model = core::TrainedModel::load(model_path);
+  const core::PredictorPtr model = core::load_predictor(model_path);
   const auto suite = workloads::Suite::standard();
   const auto& instance = suite.instance(id);
   soc::Machine machine;
-  const auto prediction = model.predict(take_samples(machine, instance));
+  const auto prediction = model->predict(take_samples(machine, instance));
 
   const hw::ConfigSpace space;
   std::cout << id << " -> cluster " << prediction.cluster << '\n';
@@ -206,11 +208,11 @@ int cmd_schedule(const std::string& model_path, const std::string& id,
   }
   const double cap_w = parse_double(cap_text);
 
-  const auto model = core::TrainedModel::load(model_path);
+  const core::PredictorPtr model = core::load_predictor(model_path);
   const auto suite = workloads::Suite::standard();
   const auto& instance = suite.instance(id);
   soc::Machine machine;
-  const auto prediction = model.predict(take_samples(machine, instance));
+  const auto prediction = model->predict(take_samples(machine, instance));
   const core::Scheduler scheduler{prediction};
   const auto choice = scheduler.select_goal(goal_it->second, cap_w);
 

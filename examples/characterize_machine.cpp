@@ -5,6 +5,7 @@
 // profiling data to disk.
 //
 // Usage: characterize_machine [output_dir]   (default: current directory)
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -71,17 +72,27 @@ int main(int argc, char** argv) {
   std::cout << "Sample-run profiles written to " << csv_path << " ("
             << profiler.size() << " records)\n";
 
-  // Round-trip check: the persisted model must predict identically.
-  const core::TrainedModel restored = core::TrainedModel::load(model_path);
-  const auto a = model.predict(characterizations.front().samples);
-  const auto b = restored.predict(characterizations.front().samples);
-  std::cout << "Reload check: cluster " << a.cluster << " == " << b.cluster
-            << ", frontier " << a.frontier.size()
-            << " == " << b.frontier.size() << " -> "
-            << (a.cluster == b.cluster &&
-                        a.frontier.size() == b.frontier.size()
-                    ? "OK"
-                    : "MISMATCH")
-            << '\n';
-  return 0;
+  // Round-trip check: the persisted model must predict bitwise
+  // identically for every training kernel.
+  const core::PredictorPtr restored = core::load_predictor(model_path);
+  std::size_t mismatches = 0;
+  for (const auto& characterization : characterizations) {
+    const auto a = model.predict(characterization.samples);
+    const auto b = restored->predict(characterization.samples);
+    const bool same =
+        a.cluster == b.cluster && a.frontier.size() == b.frontier.size() &&
+        a.per_config.size() == b.per_config.size() &&
+        std::memcmp(a.per_config.data(), b.per_config.data(),
+                    a.per_config.size() * sizeof(core::Estimate)) == 0;
+    if (!same) {
+      ++mismatches;
+      std::cout << "Reload mismatch: " << characterization.instance_id
+                << '\n';
+    }
+  }
+  std::cout << "Reload check: " << characterizations.size() - mismatches
+            << " of " << characterizations.size()
+            << " kernels predict bitwise identically -> "
+            << (mismatches == 0 ? "OK" : "MISMATCH") << '\n';
+  return mismatches == 0 ? 0 : 1;
 }

@@ -80,9 +80,4 @@ std::uint64_t Promoter::rollbacks() const {
   return rollbacks_;
 }
 
-std::uint64_t Promoter::last_published_version() const {
-  std::lock_guard<std::mutex> lock{mu_};
-  return promoted_version_;
-}
-
 }  // namespace acsel::adapt

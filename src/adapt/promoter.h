@@ -44,7 +44,6 @@ class Promoter {
   bool in_probation() const;
   std::uint64_t promotions() const;
   std::uint64_t rollbacks() const;
-  std::uint64_t last_published_version() const;
 
  private:
   serve::ModelRegistry* registry_;

@@ -282,15 +282,10 @@ GpRegressor GpRegressor::parse(const std::string& line) {
   return gp;
 }
 
-GpPredictor::GpPredictor(std::vector<ClusterSurrogate> clusters,
-                         stats::Cart tree)
-    : clusters_(std::move(clusters)), tree_(std::move(tree)) {
-  ACSEL_CHECK_MSG(!clusters_.empty(), "GpPredictor needs >= 1 cluster");
-  ACSEL_CHECK_MSG(tree_.feature_count() ==
-                      classification_feature_names().size(),
-                  "tree feature count mismatch");
+GpPredictor::GpPredictor(std::vector<Trio> clusters, stats::Cart tree)
+    : ClusterPredictor(std::move(clusters), std::move(tree)) {
   const std::size_t perf_d = perf_feature_names().size();
-  for (const ClusterSurrogate& surrogate : clusters_) {
+  for (const Trio& surrogate : clusters_) {
     ACSEL_CHECK_MSG(
         surrogate.power.feature_count() == power_feature_names().size() &&
             surrogate.perf_cpu.feature_count() == perf_d &&
@@ -303,7 +298,7 @@ GpPredictor::GpPredictor(std::vector<ClusterSurrogate> clusters,
   const std::size_t n = space_.size();
   const SamplePair no_samples{};
   power_prefix_.reserve(clusters_.size());
-  for (const ClusterSurrogate& surrogate : clusters_) {
+  for (const Trio& surrogate : clusters_) {
     const linalg::Matrix& x = surrogate.power.inputs();
     std::vector<double> prefix(n * x.rows());
     for (std::size_t i = 0; i < n; ++i) {
@@ -345,20 +340,6 @@ GpPredictor::GpPredictor(std::vector<ClusterSurrogate> clusters,
       }
     }
   }
-}
-
-const GpPredictor::ClusterSurrogate& GpPredictor::cluster(
-    std::size_t index) const {
-  ACSEL_CHECK_MSG(index < clusters_.size(), "cluster index out of range");
-  return clusters_[index];
-}
-
-std::size_t GpPredictor::classify(const SamplePair& samples) const {
-  ACSEL_OBS_SPAN("classify", "model");
-  const std::size_t label = tree_.predict(classification_features(samples));
-  ACSEL_CHECK_MSG(label < clusters_.size(),
-                  "classified into a cluster with no model");
-  return label;
 }
 
 Prediction GpPredictor::predict(const SamplePair& samples) const {
@@ -449,68 +430,6 @@ Prediction GpPredictor::predict(const SamplePair& samples) const {
         std::sqrt(variance[p]);
   }
   return prediction;
-}
-
-std::string GpPredictor::serialize_body() const {
-  std::ostringstream os;
-  os << "clusters " << clusters_.size() << '\n';
-  for (const ClusterSurrogate& surrogate : clusters_) {
-    os << surrogate.power.serialize() << '\n'
-       << surrogate.perf_cpu.serialize() << '\n'
-       << surrogate.perf_gpu.serialize() << '\n';
-  }
-  os << "tree\n" << tree_.serialize();
-  return os.str();
-}
-
-namespace {
-
-GpPredictor parse_gp_body(std::istringstream& is) {
-  std::string line;
-  ACSEL_CHECK_MSG(static_cast<bool>(std::getline(is, line)) &&
-                      starts_with(line, "clusters "),
-                  "missing cluster count");
-  const std::size_t k = parse_size(split(line, ' ')[1]);
-  ACSEL_CHECK_MSG(k >= 1, "model must have >= 1 cluster");
-
-  std::vector<GpPredictor::ClusterSurrogate> clusters;
-  for (std::size_t c = 0; c < k; ++c) {
-    GpPredictor::ClusterSurrogate surrogate;
-    GpRegressor* const gps[3] = {&surrogate.power, &surrogate.perf_cpu,
-                                 &surrogate.perf_gpu};
-    for (GpRegressor* gp : gps) {
-      ACSEL_CHECK_MSG(static_cast<bool>(std::getline(is, line)),
-                      "truncated cluster block");
-      *gp = GpRegressor::parse(line);
-    }
-    clusters.push_back(std::move(surrogate));
-  }
-  ACSEL_CHECK_MSG(static_cast<bool>(std::getline(is, line)) && line == "tree",
-                  "missing tree section");
-  std::ostringstream rest;
-  rest << is.rdbuf();
-  return GpPredictor{std::move(clusters), stats::Cart::parse(rest.str())};
-}
-
-}  // namespace
-
-GpPredictor GpPredictor::parse(const std::string& text) {
-  std::istringstream is{text};
-  std::string header;
-  ACSEL_CHECK_MSG(static_cast<bool>(std::getline(is, header)),
-                  "empty model text");
-  const std::string envelope = "acsel-predictor " + std::string{kKind} + " v1";
-  if (header != envelope) {
-    throw PredictorFormatError{"unknown model format"};
-  }
-  return parse_gp_body(is);
-}
-
-PredictorPtr GpPredictor::parse_shared(std::uint32_t version,
-                                       const std::string& body) {
-  ACSEL_CHECK_MSG(version == 1, "gp-sqexp body version must be 1");
-  std::istringstream is{body};
-  return std::make_shared<const GpPredictor>(parse_gp_body(is));
 }
 
 }  // namespace acsel::core

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <span>
 #include <string>
@@ -19,8 +18,8 @@
 #include <vector>
 
 #include "core/characterization.h"
+#include "core/cluster_predictor.h"
 #include "core/predictor.h"
-#include "hw/config_space.h"
 #include "linalg/cholesky.h"
 #include "linalg/matrix.h"
 #include "stats/cart.h"
@@ -137,13 +136,16 @@ class GpRegressor {
   linalg::Matrix l_;           ///< Cholesky factor of K
 };
 
-/// The GP-family predictor: the same CART front end as TrainedModel (the
-/// cluster assignment problem is unchanged) with three GP posteriors per
-/// cluster — absolute power over power_features, and per-device relative
-/// performance over perf_features.
+extern template class ClusterPredictor<GpRegressor>;
+
+/// The GP-family predictor: the same cluster trio, CART front end and body
+/// text as TrainedModel (core/cluster_predictor.h; the cluster assignment
+/// problem is unchanged) with a GP posterior in each trio slot — absolute
+/// power over power_features, and per-device relative performance over
+/// perf_features.
 ///
-/// The constructor (which train() and both parse paths go through)
-/// tabulates what depends on the configuration only:
+/// The constructor (which train_predictor() and parse_predictor() go
+/// through) tabulates what depends on the configuration only:
 ///  * the performance posteriors, per (cluster, configuration), one
 ///    predict_rows() call per (cluster, device);
 ///  * per cluster, the first 8 terms of every squared distance between a
@@ -161,36 +163,17 @@ class GpRegressor {
 /// variance is the prior minus a squared norm, so the prior sd bounds
 /// it from above. Every other answer, and every frontier sigma, is
 /// bitwise that of a per-point posterior.
-class GpPredictor final : public Predictor {
+class GpPredictor final : public ClusterPredictor<GpRegressor> {
  public:
   /// Envelope tag of this family.
   static constexpr std::string_view kKind = "gp-sqexp";
 
-  struct ClusterSurrogate {
-    GpRegressor power;     ///< watts over power_features(config, samples)
-    GpRegressor perf_cpu;  ///< perf / S_perf_cpu over CPU perf_features
-    GpRegressor perf_gpu;  ///< perf / S_perf_gpu over GPU perf_features
-  };
-
-  GpPredictor() = default;
   /// Throws acsel::Error when a GP's feature count does not match its
   /// feature builder (power_features / perf_features).
-  GpPredictor(std::vector<ClusterSurrogate> clusters, stats::Cart tree);
+  GpPredictor(std::vector<Trio> clusters, stats::Cart tree);
 
   std::string_view kind() const override { return kKind; }
-  std::size_t cluster_count() const override { return clusters_.size(); }
-  const hw::ConfigSpace& config_space() const override { return space_; }
-  const ClusterSurrogate& cluster(std::size_t index) const;
-  const stats::Cart& tree() const { return tree_; }
-
-  std::size_t classify(const SamplePair& samples) const override;
   Prediction predict(const SamplePair& samples) const override;
-
-  std::string serialize_body() const override;
-  static GpPredictor parse(const std::string& text);
-  /// Factory hook: body parser behind the "gp-sqexp" envelope tag.
-  static PredictorPtr parse_shared(std::uint32_t version,
-                                   const std::string& body);
 
  private:
   /// Tabulated performance posterior of one (cluster, configuration),
@@ -200,9 +183,6 @@ class GpPredictor final : public Predictor {
     double sigma = 0.0;  ///< sqrt(posterior variance)
   };
 
-  std::vector<ClusterSurrogate> clusters_;
-  stats::Cart tree_;
-  hw::ConfigSpace space_;
   /// cluster-major: row (c, i) at c * space_.size() + i.
   std::vector<PerfRow> perf_table_;
   /// Per cluster, configuration-major: the squared distance's terms 0-7

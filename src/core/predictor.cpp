@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
-#include <map>
-#include <mutex>
+#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -20,31 +19,14 @@ constexpr std::string_view kEnvelopePrefix = "acsel-predictor ";
 /// kind "cluster-cart" version 1.
 constexpr std::string_view kLegacyHeader = "acsel-model v1";
 
-struct KindEntry {
-  std::uint32_t latest_version = 1;
-  PredictorParser parser = nullptr;
-};
+/// The body version both families write; the only one they read.
+constexpr std::uint32_t kBodyVersion = 1;
 
-struct KindRegistry {
-  std::mutex mu;
-  std::map<std::string, KindEntry, std::less<>> kinds;
-
-  static KindRegistry& get() {
-    static KindRegistry registry;
-    return registry;
-  }
-};
-
-/// Built-in kinds are registered on first factory use rather than via
-/// static initializers, so static-library dead-stripping can never drop
-/// them.
-void ensure_builtins_registered() {
-  static const bool done = [] {
-    register_predictor_kind(TrainedModel::kKind, 1, &TrainedModel::parse_shared);
-    register_predictor_kind(GpPredictor::kKind, 1, &GpPredictor::parse_shared);
-    return true;
-  }();
-  (void)done;
+template <typename Model>
+PredictorPtr read_predictor(const std::string& body) {
+  typename Model::Body parts = Model::read_body(body);
+  return std::make_shared<const Model>(std::move(parts.clusters),
+                                       std::move(parts.tree));
 }
 
 }  // namespace
@@ -70,7 +52,7 @@ UnsupportedPredictorVersionError::UnsupportedPredictorVersionError(
 
 std::string Predictor::serialize() const {
   std::ostringstream os;
-  os << kEnvelopePrefix << kind() << " v" << format_version() << '\n'
+  os << kEnvelopePrefix << kind() << " v" << kBodyVersion << '\n'
      << serialize_body();
   return os.str();
 }
@@ -82,20 +64,7 @@ void Predictor::save(const std::string& path) const {
   ACSEL_CHECK_MSG(out.good(), "failed writing model file: " + path);
 }
 
-void register_predictor_kind(std::string_view kind,
-                             std::uint32_t latest_version,
-                             PredictorParser parser) {
-  ACSEL_CHECK_MSG(!kind.empty() && parser != nullptr,
-                  "predictor kind registration needs a kind and a parser");
-  KindRegistry& registry = KindRegistry::get();
-  std::lock_guard<std::mutex> lock{registry.mu};
-  registry.kinds.insert_or_assign(std::string{kind},
-                                  KindEntry{latest_version, parser});
-}
-
 PredictorPtr parse_predictor(const std::string& text) {
-  ensure_builtins_registered();
-
   std::istringstream is{text};
   std::string header;
   if (!std::getline(is, header)) {
@@ -124,21 +93,14 @@ PredictorPtr parse_predictor(const std::string& text) {
     throw PredictorFormatError{"unknown model format"};
   }
 
-  KindEntry entry;
-  {
-    KindRegistry& registry = KindRegistry::get();
-    std::lock_guard<std::mutex> lock{registry.mu};
-    const auto it = registry.kinds.find(kind);
-    if (it == registry.kinds.end()) {
-      throw UnknownPredictorKindError{kind};
-    }
-    entry = it->second;
+  if (kind != TrainedModel::kKind && kind != GpPredictor::kKind) {
+    throw UnknownPredictorKindError{kind};
   }
-  if (version == 0 || version > entry.latest_version) {
-    throw UnsupportedPredictorVersionError{kind, version,
-                                           entry.latest_version};
+  if (version != kBodyVersion) {
+    throw UnsupportedPredictorVersionError{kind, version, kBodyVersion};
   }
-  return entry.parser(version, body);
+  return kind == TrainedModel::kKind ? read_predictor<TrainedModel>(body)
+                                     : read_predictor<GpPredictor>(body);
 }
 
 PredictorPtr load_predictor(const std::string& path) {

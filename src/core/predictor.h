@@ -4,11 +4,13 @@
 // adapt loop, fleet replicas, eval harness) only needs three capabilities:
 // assign a kernel to a cluster from its two sample runs, estimate power
 // and performance *with predictive uncertainty* for every configuration,
-// and round-trip through a serialized form. `Predictor` is that contract;
-// `TrainedModel` (cluster regression + CART) and `GpPredictor`
-// (Gaussian-process surrogate) implement it, and the type-tagged
-// serialization envelope below keeps models from different families — and
-// future format versions — distinguishable on disk and on the wire.
+// and round-trip through a serialized form. `Predictor` is that contract.
+// Its two implementations, `TrainedModel` (cluster regression + CART) and
+// `GpPredictor` (Gaussian-process surrogate), share one cluster trio,
+// tree and body text (core/cluster_predictor.h). The type-tagged
+// serialization envelope below keeps the two families — and future
+// format versions — distinguishable on disk and on the wire, and
+// parse_predictor() is the one reader of it.
 #pragma once
 
 #include <cstddef>
@@ -61,9 +63,6 @@ class Predictor {
   /// ("cluster-cart", "gp-sqexp", ...).
   virtual std::string_view kind() const = 0;
 
-  /// Version of the body format this implementation writes.
-  virtual std::uint32_t format_version() const { return 1; }
-
   virtual std::size_t cluster_count() const = 0;
   virtual const hw::ConfigSpace& config_space() const = 0;
 
@@ -76,7 +75,7 @@ class Predictor {
   virtual Prediction predict(const SamplePair& samples) const = 0;
 
   /// Serialized body *without* the envelope line; serialize() prepends
-  /// "acsel-predictor <kind> v<version>".
+  /// "acsel-predictor <kind> v1".
   virtual std::string serialize_body() const = 0;
 
   /// Envelope + body; round-trips through parse_predictor().
@@ -126,19 +125,10 @@ class UnsupportedPredictorVersionError : public PredictorFormatError {
   explicit UnsupportedPredictorVersionError(const std::string& message);
 };
 
-/// Body parser of one predictor kind: given the envelope's version and the
-/// body text (everything after the envelope line), builds the predictor.
-using PredictorParser = PredictorPtr (*)(std::uint32_t version,
-                                         const std::string& body);
-
-/// Registers a predictor kind with the factory. Built-in kinds are
-/// pre-registered; extensions call this once at startup. Re-registering a
-/// kind replaces its parser.
-void register_predictor_kind(std::string_view kind, std::uint32_t latest_version,
-                             PredictorParser parser);
-
-/// Parses any serialized predictor by its envelope tag. Accepts the
-/// legacy "acsel-model v1" header as kind "cluster-cart" version 1.
+/// Parses a serialized predictor of either family ("cluster-cart" or
+/// "gp-sqexp", body version 1) by its envelope tag. Accepts the legacy
+/// "acsel-model v1" header as kind "cluster-cart" version 1. A caller that
+/// needs the concrete type casts the result.
 /// Throws UnknownPredictorKindError / UnsupportedPredictorVersionError /
 /// PredictorFormatError — never aborts on foreign input.
 PredictorPtr parse_predictor(const std::string& text);

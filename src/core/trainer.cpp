@@ -71,7 +71,7 @@ linalg::Matrix to_matrix(const std::vector<std::vector<double>>& rows) {
 
 /// Fits one cluster's power and performance regressions from its member
 /// kernels' full characterizations.
-ClusterModel fit_cluster(
+TrainedModel::Trio fit_cluster(
     std::span<const KernelCharacterization> kernels,
     const std::vector<std::size_t>& members, const hw::ConfigSpace& space,
     const TrainerOptions& options) {
@@ -89,7 +89,7 @@ ClusterModel fit_cluster(
   perf_opts.transform = options.transform;
   perf_opts.ridge = options.ridge;
 
-  ClusterModel model;
+  TrainedModel::Trio model;
   model.power = linalg::LinearModel::fit(to_matrix(rows.power_rows),
                                          rows.power_y, power_opts);
   model.perf_cpu =
@@ -103,12 +103,12 @@ ClusterModel fit_cluster(
 
 /// Fits one cluster's GP surrogates on the same rows the linear models
 /// see.
-GpPredictor::ClusterSurrogate fit_cluster_gp(
+GpPredictor::Trio fit_cluster_gp(
     std::span<const KernelCharacterization> kernels,
     const std::vector<std::size_t>& members, const hw::ConfigSpace& space,
     const TrainerOptions& options) {
   const ClusterRows rows = collect_cluster_rows(kernels, members, space);
-  GpPredictor::ClusterSurrogate surrogate;
+  GpPredictor::Trio surrogate;
   surrogate.power = GpRegressor::fit(to_matrix(rows.power_rows), rows.power_y,
                                      options.gp, options.gp_max_rows);
   surrogate.perf_cpu = GpRegressor::fit(to_matrix(rows.cpu_rows), rows.cpu_y,
@@ -173,7 +173,7 @@ TrainingResult train(std::span<const KernelCharacterization> kernels,
     ACSEL_CHECK_MSG(!members[c].empty(), "PAM produced an empty cluster");
   }
 
-  std::vector<std::optional<ClusterModel>> fit_slots(options.clusters);
+  std::vector<std::optional<TrainedModel::Trio>> fit_slots(options.clusters);
   std::optional<stats::Cart> tree_slot;
   {
     ACSEL_OBS_SPAN("train.fits", "trainer");
@@ -202,7 +202,7 @@ TrainingResult train(std::span<const KernelCharacterization> kernels,
     group.wait();
   }
 
-  std::vector<ClusterModel> cluster_models;
+  std::vector<TrainedModel::Trio> cluster_models;
   cluster_models.reserve(options.clusters);
   for (std::size_t c = 0; c < options.clusters; ++c) {
     cluster_models.push_back(std::move(*fit_slots[c]));
@@ -246,7 +246,7 @@ PredictorTraining train_predictor(
   for (std::size_t i = 0; i < kernels.size(); ++i) {
     members[base.report.clustering.assignment[i]].push_back(i);
   }
-  std::vector<std::optional<GpPredictor::ClusterSurrogate>> slots(
+  std::vector<std::optional<GpPredictor::Trio>> slots(
       options.clusters);
   {
     ACSEL_OBS_SPAN("train.gp_fits", "trainer");
@@ -259,7 +259,7 @@ PredictorTraining train_predictor(
     }
     group.wait();
   }
-  std::vector<GpPredictor::ClusterSurrogate> surrogates;
+  std::vector<GpPredictor::Trio> surrogates;
   surrogates.reserve(options.clusters);
   for (std::size_t c = 0; c < options.clusters; ++c) {
     surrogates.push_back(std::move(*slots[c]));

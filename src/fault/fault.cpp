@@ -13,20 +13,11 @@ namespace acsel::fault {
 
 namespace {
 
-/// FNV-1a over the site name: a stable, platform-independent stream id,
+/// FNV-1a over the site name is a stable, platform-independent stream id,
 /// so a site's decisions depend only on (injector seed, site name, query
 /// index).
-std::uint64_t site_stream(std::string_view site) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (const char c : site) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
 Rng site_rng(std::uint64_t seed, const std::string& site) {
-  return Rng{Rng::mix_seeds(seed, site_stream(site))};
+  return Rng{Rng::mix_seeds(seed, fnv1a(site))};
 }
 
 using PresetSites = std::vector<std::pair<std::string, FaultSpec>>;

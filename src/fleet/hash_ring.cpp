@@ -3,31 +3,14 @@
 #include <algorithm>
 
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace acsel::fleet {
 
-namespace {
-
-/// SplitMix64 finalizer: bijective, well-mixed — adjacent (shard, vnode)
-/// pairs land on uncorrelated ring points.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 std::uint64_t hash_bytes(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a 64-bit offset basis
-  for (const char c : bytes) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ull;
-  }
-  // One finalizer round: FNV mixes low bits poorly, and the ring compares
+  // One SplitMix64 round: FNV mixes low bits poorly, and the ring compares
   // full 64-bit values.
-  return mix64(h);
+  return splitmix64(fnv1a(bytes));
 }
 
 HashRing::HashRing(std::size_t vnodes) : vnodes_(vnodes) {
@@ -62,9 +45,10 @@ void HashRing::rebuild() {
   for (const std::uint32_t shard : shards_) {
     for (std::size_t v = 0; v < vnodes_; ++v) {
       // Point position is a pure function of (shard, vnode): rings built
-      // by different routers, in different orders, are identical.
+      // by different routers, in different orders, are identical, and
+      // adjacent (shard, vnode) pairs land on uncorrelated points.
       const std::uint64_t h =
-          mix64((std::uint64_t{shard} << 32) | std::uint64_t{v});
+          splitmix64((std::uint64_t{shard} << 32) | std::uint64_t{v});
       points_.push_back(Point{h, shard});
     }
   }

@@ -18,9 +18,8 @@
 
 namespace acsel::fleet {
 
-/// FNV-1a over bytes, the fleet's canonical string hash (also how
-/// fault::Injector names its per-site streams). Used on the routing hot
-/// path, so it stays header-inlinable.
+/// FNV-1a over bytes finished by one SplitMix64 round (both in
+/// util/rng.h): the fleet's canonical string hash, on the routing path.
 std::uint64_t hash_bytes(std::string_view bytes);
 
 class HashRing {

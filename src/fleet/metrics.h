@@ -198,7 +198,6 @@ class FleetMetrics {
   std::uint64_t shed_by_priority(serve::Priority p) const {
     return shed_by_priority_[static_cast<std::size_t>(p)]->value();
   }
-  std::uint64_t brownout_sheds() const { return brownout_shed_->value(); }
   std::uint64_t model_mismatch() const { return model_mismatch_->value(); }
 
   const obs::Registry& registry() const { return registry_; }

@@ -17,15 +17,6 @@ namespace {
 /// retries.
 constexpr double kRetryBudgetCap = 64.0;
 
-/// splitmix64 finalizer — a deterministic, well-mixed trace id from the
-/// (client seed, request id) pair.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 }  // namespace
 
 Client::Client(Transport transport, ClientOptions options)
@@ -148,7 +139,10 @@ SelectResponse Client::select(const SelectRequest& request) {
   if (!root.active() && options_.trace_sample_den > 0 &&
       request.request_id % options_.trace_sample_den == 0) {
     root = obs::TraceContext{};
-    root.trace_id = mix64(options_.seed ^ mix64(request.request_id));
+    // A deterministic, well-mixed trace id from the (client seed,
+    // request id) pair.
+    root.trace_id =
+        splitmix64(options_.seed ^ splitmix64(request.request_id));
     if (root.trace_id == 0) {
       root.trace_id = 1;
     }

@@ -77,14 +77,6 @@ PowerBreakdown evaluate_power_at(const MachineSpec& spec,
   return power;
 }
 
-PowerBreakdown evaluate_power(const MachineSpec& spec,
-                              const KernelCharacteristics& kernel,
-                              const hw::Configuration& config,
-                              const ActivityInputs& activity) {
-  return evaluate_power_at(spec, kernel, config, activity,
-                           CpuOperatingPoint::of(config), 1.0);
-}
-
 PowerBreakdown idle_power(const MachineSpec& spec) {
   const double v_cpu = hw::cpu_pstates()[0].voltage;
   const double v_gpu = hw::gpu_pstates()[0].voltage;

@@ -31,15 +31,10 @@ struct PowerBreakdown {
 };
 
 /// Instantaneous power draw of `kernel` executing under `config` with the
-/// given utilizations. Pure function of its inputs; noise is added by the
-/// SMU sampling layer, not here.
-PowerBreakdown evaluate_power(const MachineSpec& spec,
-                              const KernelCharacteristics& kernel,
-                              const hw::Configuration& config,
-                              const ActivityInputs& activity);
-
-/// Extended form: explicit CPU operating point (boost support, §VI) and a
-/// leakage multiplier for the current die temperature.
+/// given utilizations, at an explicit CPU operating point (boost support,
+/// §VI; CpuOperatingPoint::of(config) is the nominal one) and a leakage
+/// multiplier for the current die temperature. Pure function of its inputs; noise is added by the SMU sampling layer,
+/// not here.
 PowerBreakdown evaluate_power_at(const MachineSpec& spec,
                                  const KernelCharacteristics& kernel,
                                  const hw::Configuration& config,

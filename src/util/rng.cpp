@@ -8,14 +8,6 @@ namespace acsel {
 
 namespace {
 
-std::uint64_t splitmix64(std::uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
@@ -23,8 +15,11 @@ std::uint64_t rotl(std::uint64_t x, int k) {
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
+  // The SplitMix64 generator: state word k is the output function at
+  // seed + k golden-ratio steps.
   for (auto& word : state_) {
     word = splitmix64(seed);
+    seed += 0x9e3779b97f4a7c15ull;
   }
 }
 
@@ -82,10 +77,9 @@ double Rng::normal(double mean, double stddev) {
 Rng Rng::split() { return Rng{next_u64()}; }
 
 std::uint64_t Rng::mix_seeds(std::uint64_t base, std::uint64_t stream) {
-  // One golden-ratio step per stream index, then the SplitMix64
-  // finalizer — the same mixing the seeding path uses.
-  std::uint64_t x = base + (stream + 1) * 0x9e3779b97f4a7c15ull;
-  return splitmix64(x);
+  // One golden-ratio step per stream index, then the SplitMix64 output
+  // function — the same mixing the seeding path uses.
+  return splitmix64(base + (stream + 1) * 0x9e3779b97f4a7c15ull);
 }
 
 }  // namespace acsel

@@ -12,6 +12,30 @@
 
 namespace acsel {
 
+/// SplitMix64's output function: one golden-ratio step, then its
+/// finalizer. Bijective and well mixed, so adjacent inputs land on
+/// uncorrelated outputs. Seeds Rng, mixes seed pairs, and finishes
+/// fleet::hash_bytes and the client's trace ids.
+inline std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// FNV-1a, 64-bit, over a range of char or std::uint8_t bytes: simple and
+/// stable across platforms (fleet routing keys, fault-site streams,
+/// hardware fingerprints).
+template <typename Bytes>
+inline std::uint64_t fnv1a(const Bytes& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const auto byte : bytes) {
+    hash ^= static_cast<std::uint8_t>(byte);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
 /// xoshiro256** by Blackman & Vigna, seeded through SplitMix64.
 /// Small, fast, and passes BigCrush; period 2^256 - 1.
 class Rng {

@@ -4,6 +4,7 @@
 
 #include "hw/pstate.h"
 #include "soc/power_model.h"
+#include "util/rng.h"
 
 namespace acsel::zoo {
 
@@ -31,17 +32,6 @@ void put_f64(std::vector<std::uint8_t>& out, double v) {
   for (int i = 0; i < 8; ++i) {
     out.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
   }
-}
-
-/// FNV-1a, 64-bit: simple, stable across platforms, and good enough for
-/// identity hashing (the descriptor, not the hash, breaks near-ties).
-std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (const std::uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
 }
 
 /// Closed-form peak-power envelope: idle plus every plane at its maximum
@@ -116,6 +106,8 @@ std::vector<std::uint8_t> canonical_spec_bytes(const soc::MachineSpec& spec) {
 
 HardwareFingerprint fingerprint_of(const soc::MachineSpec& spec) {
   HardwareFingerprint fp;
+  // Good enough for identity hashing: the descriptor, not the hash,
+  // breaks near-ties.
   fp.hash = fnv1a(canonical_spec_bytes(spec));
   if (fp.hash == 0) {
     fp.hash = 1;  // 0 is the wire's "no fingerprint" sentinel

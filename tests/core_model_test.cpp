@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <set>
@@ -191,11 +192,11 @@ TEST_F(ModelTest, PredictedFrontierOrdersDevicesSensibly) {
 
 TEST_F(ModelTest, SerializeParseRoundTripsPredictions) {
   const std::string text = model_->serialize();
-  const TrainedModel restored = TrainedModel::parse(text);
-  EXPECT_EQ(restored.cluster_count(), model_->cluster_count());
+  const PredictorPtr restored = parse_predictor(text);
+  EXPECT_EQ(restored->cluster_count(), model_->cluster_count());
   const auto& c = characterization("CoMD-EAM/ComputeForce");
   const Prediction a = model_->predict(c.samples);
-  const Prediction b = restored.predict(c.samples);
+  const Prediction b = restored->predict(c.samples);
   EXPECT_EQ(a.cluster, b.cluster);
   ASSERT_EQ(a.per_config.size(), b.per_config.size());
   for (std::size_t i = 0; i < a.per_config.size(); ++i) {
@@ -219,7 +220,7 @@ ReferencePrediction reference_predict(const TrainedModel& model,
                                       const SamplePair& samples) {
   ReferencePrediction out;
   out.cluster = model.classify(samples);
-  const ClusterModel& cluster = model.cluster(out.cluster);
+  const TrainedModel::Trio& cluster = model.cluster(out.cluster);
   const hw::ConfigSpace& space = model.config_space();
   for (std::size_t i = 0; i < space.size(); ++i) {
     const hw::Configuration& config = space.at(i);
@@ -307,23 +308,58 @@ TEST_F(ModelTest, PredictMatchesRegressionsBitwise) {
     const std::string label = model == model_ ? "identity" : "log1p";
     expect_matches_reference_bitwise(*model, *characterizations_,
                                      label + " trained");
-    expect_matches_reference_bitwise(TrainedModel::parse(model->serialize()),
-                                     *characterizations_, label + " parsed");
+    expect_matches_reference_bitwise(
+        dynamic_cast<const TrainedModel&>(*parse_predictor(model->serialize())),
+        *characterizations_, label + " parsed");
   }
 }
 
+// Saves `model`, loads it back through load_predictor(), and expects the
+// same text and bitwise the same predictions for every suite kernel; a
+// truncated copy of the file must fail to load.
+void expect_file_round_trip(
+    const Predictor& model,
+    const std::vector<KernelCharacterization>& characterizations,
+    const std::string& name) {
+  const std::string path = ::testing::TempDir() + "/" + name + ".txt";
+  model.save(path);
+  const PredictorPtr loaded = load_predictor(path);
+  EXPECT_EQ(loaded->kind(), model.kind());
+  EXPECT_EQ(loaded->serialize(), model.serialize());
+  for (const auto& c : characterizations) {
+    const Prediction want = model.predict(c.samples);
+    const Prediction got = loaded->predict(c.samples);
+    ASSERT_EQ(got.cluster, want.cluster) << c.instance_id;
+    ASSERT_EQ(got.per_config.size(), want.per_config.size());
+    EXPECT_EQ(std::memcmp(got.per_config.data(), want.per_config.data(),
+                          want.per_config.size() * sizeof(Estimate)),
+              0)
+        << c.instance_id;
+    ASSERT_EQ(got.frontier.size(), want.frontier.size()) << c.instance_id;
+    EXPECT_EQ(std::memcmp(got.frontier.points().data(),
+                          want.frontier.points().data(),
+                          want.frontier.size() * sizeof(pareto::FrontierPoint)),
+              0)
+        << c.instance_id;
+  }
+
+  const std::string text = model.serialize();
+  {
+    std::ofstream out{path, std::ios::binary};
+    out << text.substr(0, text.size() / 3);
+  }
+  EXPECT_THROW(load_predictor(path), Error);
+}
+
 TEST_F(ModelTest, SaveLoadFile) {
-  const std::string path = ::testing::TempDir() + "/acsel_model.txt";
-  model_->save(path);
-  const TrainedModel loaded = TrainedModel::load(path);
-  EXPECT_EQ(loaded.cluster_count(), model_->cluster_count());
-  EXPECT_THROW(TrainedModel::load("/nonexistent/model.txt"), Error);
+  expect_file_round_trip(*model_, *characterizations_, "acsel_model");
+  EXPECT_THROW(load_predictor("/nonexistent/model.txt"), Error);
 }
 
 TEST_F(ModelTest, ParseRejectsGarbage) {
-  EXPECT_THROW(TrainedModel::parse(""), Error);
-  EXPECT_THROW(TrainedModel::parse("not-a-model\n"), Error);
-  EXPECT_THROW(TrainedModel::parse("acsel-model v1\nclusters 0\ntree\n"),
+  EXPECT_THROW(parse_predictor(""), Error);
+  EXPECT_THROW(parse_predictor("not-a-model\n"), Error);
+  EXPECT_THROW(parse_predictor("acsel-model v1\nclusters 0\ntree\n"),
                Error);
 }
 
@@ -349,7 +385,7 @@ TEST_F(ModelTest, VarianceStabilizingTransformTrains) {
   }
 }
 
-TEST_F(ModelTest, SingleClusterModelStillWorks) {
+TEST_F(ModelTest, SingleClusterStillWorks) {
   TrainerOptions options;
   options.clusters = 1;
   const auto [model, report] = train(*characterizations_, options);
@@ -517,7 +553,7 @@ ReferencePrediction reference_gp_predict(const GpPredictor& model,
 std::vector<ReferenceGp> reference_gps(const GpPredictor& model) {
   std::vector<ReferenceGp> gps;
   for (std::size_t c = 0; c < model.cluster_count(); ++c) {
-    const GpPredictor::ClusterSurrogate& surrogate = model.cluster(c);
+    const GpPredictor::Trio& surrogate = model.cluster(c);
     gps.emplace_back(surrogate.power);
     gps.emplace_back(surrogate.perf_cpu);
     gps.emplace_back(surrogate.perf_gpu);
@@ -566,15 +602,16 @@ TEST_F(GpPredictorTest, PredictMatchesPointwisePosteriorsBitwise) {
   // alike.
   ASSERT_NE(gp_, nullptr);
   expect_gp_matches_reference_bitwise(*gp_, *characterizations_, "trained");
-  expect_gp_matches_reference_bitwise(GpPredictor::parse(gp_->serialize()),
-                                      *characterizations_, "parsed");
+  expect_gp_matches_reference_bitwise(
+      dynamic_cast<const GpPredictor&>(*parse_predictor(gp_->serialize())),
+      *characterizations_, "parsed");
 
   // Performance GPs fit to negative ratios put every posterior mean below
   // the 1e-6 floor, so the table's clamp is exercised too.
   const hw::ConfigSpace space;
-  std::vector<GpPredictor::ClusterSurrogate> clusters;
+  std::vector<GpPredictor::Trio> clusters;
   for (std::size_t c = 0; c < gp_->cluster_count(); ++c) {
-    GpPredictor::ClusterSurrogate surrogate = gp_->cluster(c);
+    GpPredictor::Trio surrogate = gp_->cluster(c);
     for (const hw::Device device : {hw::Device::Cpu, hw::Device::Gpu}) {
       std::vector<std::vector<double>> rows;
       std::vector<double> y;
@@ -603,6 +640,11 @@ TEST_F(GpPredictorTest, PredictMatchesPointwisePosteriorsBitwise) {
     EXPECT_EQ(prediction.per_config.front().performance, 1e-6 * s_perf);
   }
   expect_gp_matches_reference_bitwise(clamped, few, "clamped");
+}
+
+TEST_F(GpPredictorTest, SaveLoadFile) {
+  ASSERT_NE(gp_, nullptr);
+  expect_file_round_trip(*gp_, *characterizations_, "acsel_gp_model");
 }
 
 // The full-posterior Prediction a per-point composition gives.

@@ -1,11 +1,11 @@
-// TrainedModel serialization round-trip: a model trained on a small suite
-// must serialize -> parse into a model with *identical* predictions on
+// TrainedModel serialization round-trip through parse_predictor(): a model
+// trained on a small suite must serialize -> parse into a model with
+// *identical* predictions on
 // every configuration (coefficients travel with 17 significant digits, so
 // doubles survive bit-exactly), and truncated/corrupt input must fail
 // loudly with acsel::Error rather than yield a silently different model.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -60,12 +60,12 @@ TrainedModel* SerializationTest::model_ = nullptr;
 PredictorPtr* SerializationTest::gp_ = nullptr;
 
 TEST_F(SerializationTest, RoundTripPredictsIdenticallyOnEveryConfig) {
-  const TrainedModel restored = TrainedModel::parse(model_->serialize());
-  ASSERT_EQ(restored.cluster_count(), model_->cluster_count());
+  const PredictorPtr restored = parse_predictor(model_->serialize());
+  ASSERT_EQ(restored->cluster_count(), model_->cluster_count());
   const hw::ConfigSpace space;
   for (const auto& characterization : *characterizations_) {
     const Prediction original = model_->predict(characterization.samples);
-    const Prediction parsed = restored.predict(characterization.samples);
+    const Prediction parsed = restored->predict(characterization.samples);
     EXPECT_EQ(original.cluster, parsed.cluster)
         << characterization.instance_id;
     ASSERT_EQ(original.per_config.size(), space.size());
@@ -97,7 +97,7 @@ TEST_F(SerializationTest, SecondRoundTripIsTextuallyStable) {
   // serialize(parse(serialize(m))) == serialize(m): the format is a
   // fixed point, so repeated save/load cycles cannot drift.
   const std::string once = model_->serialize();
-  const std::string twice = TrainedModel::parse(once).serialize();
+  const std::string twice = parse_predictor(once)->serialize();
   EXPECT_EQ(once, twice);
 }
 
@@ -108,7 +108,7 @@ TEST_F(SerializationTest, TruncatedInputIsRejected) {
   for (const std::size_t keep :
        {std::size_t{0}, std::size_t{5}, text.size() / 4, text.size() / 2,
         3 * text.size() / 4}) {
-    EXPECT_THROW(TrainedModel::parse(text.substr(0, keep)), Error)
+    EXPECT_THROW(parse_predictor(text.substr(0, keep)), Error)
         << "kept " << keep << " of " << text.size() << " bytes";
   }
 }
@@ -118,14 +118,14 @@ TEST_F(SerializationTest, CorruptInputIsRejected) {
   {
     std::string bad = text;
     bad[0] = 'x';  // wrong header magic
-    EXPECT_THROW(TrainedModel::parse(bad), Error);
+    EXPECT_THROW(parse_predictor(bad), Error);
   }
   {
     // Claim more clusters than the payload holds.
     std::string bad = text;
     const std::size_t pos = bad.find("clusters ");
     bad.replace(pos, bad.find('\n', pos) - pos, "clusters 99");
-    EXPECT_THROW(TrainedModel::parse(bad), Error);
+    EXPECT_THROW(parse_predictor(bad), Error);
   }
   {
     // Non-numeric garbage inside a coefficient line.
@@ -133,12 +133,12 @@ TEST_F(SerializationTest, CorruptInputIsRejected) {
     const std::size_t line_start = bad.find('\n', bad.find("clusters")) + 1;
     const std::size_t field = bad.find(' ', line_start + 2);
     bad.replace(field + 1, 3, "zzz");
-    EXPECT_THROW(TrainedModel::parse(bad), Error);
+    EXPECT_THROW(parse_predictor(bad), Error);
   }
   {
     // Drop the tree section entirely.
     std::string bad = text.substr(0, text.find("tree\n"));
-    EXPECT_THROW(TrainedModel::parse(bad), Error);
+    EXPECT_THROW(parse_predictor(bad), Error);
   }
 }
 
@@ -160,7 +160,6 @@ TEST_F(SerializationTest, WrongFeatureCountIsRejectedAtParse) {
   for (const std::size_t line : {2u, 3u, 4u, 5u}) {
     const std::string bad = drop_last_slope(line);
     EXPECT_THROW(parse_predictor(bad), Error) << "line " << line;
-    EXPECT_THROW(TrainedModel::parse(bad), Error) << "line " << line;
   }
 }
 
@@ -193,32 +192,7 @@ TEST_F(SerializationTest, GpWrongFeatureCountIsRejectedAtParse) {
   for (const std::size_t line : {2u, 3u, 4u}) {
     const std::string bad = drop_last_column(line);
     EXPECT_THROW(parse_predictor(bad), Error) << "line " << line;
-    EXPECT_THROW(GpPredictor::parse(bad), Error) << "line " << line;
   }
-}
-
-TEST_F(SerializationTest, TruncatedFileFailsToLoad) {
-  const std::string path =
-      ::testing::TempDir() + "/acsel_truncated_model.txt";
-  const std::string text = model_->serialize();
-  {
-    std::ofstream out{path, std::ios::binary};
-    out << text.substr(0, text.size() / 3);
-  }
-  EXPECT_THROW(TrainedModel::load(path), Error);
-  EXPECT_THROW(load_predictor(path), Error);
-}
-
-TEST_F(SerializationTest, LoadPredictorMatchesLoad) {
-  const std::string path =
-      ::testing::TempDir() + "/acsel_predictor_model.txt";
-  model_->save(path);
-  const PredictorPtr loaded = load_predictor(path);
-  ASSERT_NE(loaded, nullptr);
-  EXPECT_EQ(loaded->kind(), "cluster-cart");
-  EXPECT_EQ(loaded->cluster_count(), model_->cluster_count());
-  const auto& samples = (*characterizations_)[0].samples;
-  EXPECT_EQ(loaded->classify(samples), model_->classify(samples));
 }
 
 }  // namespace
