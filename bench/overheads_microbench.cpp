@@ -11,6 +11,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/gp_model.h"
@@ -62,9 +64,10 @@ void BM_OnlinePredictionFullPipeline(benchmark::State& state) {
 BENCHMARK(BM_OnlinePredictionFullPipeline);
 
 void BM_GpPredictionFullPipeline(benchmark::State& state) {
-  // The same online pipeline under the gp-sqexp predictor: 54 power
-  // posteriors solved in one block against a Cholesky factor of up to
-  // 256 rows, plus the tabulated performance posteriors.
+  // The same online pipeline under the gp-sqexp predictor: 2n tail
+  // factors, the 54 power means as one 54 × n table times a vector (n up
+  // to 256 training rows), the tabulated performance posteriors, and
+  // power variances solved at the frontier configurations only.
   const auto& samples = offline().characterizations[7].samples;
   for (auto _ : state) {
     benchmark::DoNotOptimize(offline().gp->predict(samples));
@@ -86,6 +89,29 @@ void BM_GpPredictionSuite(benchmark::State& state) {
                           static_cast<std::int64_t>(characterizations.size()));
 }
 BENCHMARK(BM_GpPredictionSuite);
+
+void BM_GpPredictorBuild(benchmark::State& state) {
+  // The gp-sqexp constructor alone, as train_predictor() and
+  // parse_predictor() run it on fitted GPs: per cluster, the power GP's
+  // head factors (54 · n exp calls) and the performance posteriors. Copying
+  // its input and freeing the previous predictor are not timed.
+  const auto& gp = dynamic_cast<const core::GpPredictor&>(*offline().gp);
+  std::vector<core::GpPredictor::Trio> clusters;
+  for (std::size_t c = 0; c < gp.cluster_count(); ++c) {
+    clusters.push_back(gp.cluster(c));
+  }
+  std::optional<core::GpPredictor> built;
+  for (auto _ : state) {
+    state.PauseTiming();
+    built.reset();
+    std::vector<core::GpPredictor::Trio> input = clusters;
+    stats::Cart tree = gp.tree();
+    state.ResumeTiming();
+    built.emplace(std::move(input), std::move(tree));
+    benchmark::DoNotOptimize(*built);
+  }
+}
+BENCHMARK(BM_GpPredictorBuild);
 
 void BM_GpRegressorFit(benchmark::State& state) {
   // One offline GP fit at the trainer's row cap: 256 rows of 12 features

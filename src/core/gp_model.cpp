@@ -15,11 +15,6 @@ namespace acsel::core {
 
 namespace {
 
-/// Terms of power_features that depend on the configuration only (0-7);
-/// terms 8-11 read the samples.
-constexpr std::size_t kConfigTerms = 8;
-constexpr std::size_t kSampleTerms = 4;
-
 double squared_distance(std::span<const double> a, std::span<const double> b) {
   double sum = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -111,9 +106,10 @@ void GpRegressor::finalize() {
   for (const double v : y_) y_mean_ += v;
   y_mean_ /= static_cast<double>(n);
 
+  inv_2l2_ = 1.0 / (2.0 * length_scale_ * length_scale_);
+
   // Only the lower triangle: it is all the factorization reads.
   linalg::Matrix k{n, n};
-  const double inv_2l2 = 1.0 / (2.0 * length_scale_ * length_scale_);
   const std::size_t d = x_.cols();
   const double* const x = x_.data().data();
   for (std::size_t i = 0; i < n; ++i) {
@@ -121,8 +117,7 @@ void GpRegressor::finalize() {
     const std::span<const double> xi{x + i * d, d};
     ki[i] = signal_variance_ + noise_variance_;
     for (std::size_t j = 0; j < i; ++j) {
-      ki[j] = signal_variance_ *
-              std::exp(-squared_distance(xi, {x + j * d, d}) * inv_2l2);
+      ki[j] = kernel(xi, {x + j * d, d});
     }
   }
   const linalg::CholeskyFactorization chol{k};
@@ -145,15 +140,17 @@ std::vector<GpRegressor::MeanVariance> GpRegressor::predict_rows(
     const linalg::Matrix& points) const {
   ACSEL_CHECK_MSG(y_.empty() || points.cols() == x_.cols(),
                   "GpRegressor::predict: feature count mismatch");
+  const std::size_t n = y_.size();
   const std::size_t d = x_.cols();
   const double* const x = x_.data().data();
-  const KernelColumns columns = kernel_columns(
-      points.rows(), [&](std::size_t c, std::span<double> squared) {
-        const std::span<const double> point = points.row(c);
-        for (std::size_t i = 0; i < squared.size(); ++i) {
-          squared[i] = squared_distance({x + i * d, d}, point);
-        }
-      });
+  std::vector<double> block(n * points.rows());
+  for (std::size_t c = 0; c < points.rows(); ++c) {
+    const std::span<const double> point = points.row(c);
+    for (std::size_t i = 0; i < n; ++i) {
+      block[c * n + i] = kernel({x + i * d, d}, point);
+    }
+  }
+  const KernelColumns columns = kernel_columns(std::move(block));
   std::vector<std::size_t> all(points.rows());
   std::iota(all.begin(), all.end(), std::size_t{0});
   const std::vector<double> variance = variances(columns, all);
@@ -164,23 +161,32 @@ std::vector<GpRegressor::MeanVariance> GpRegressor::predict_rows(
   return out;
 }
 
+double GpRegressor::kernel(std::span<const double> a,
+                           std::span<const double> b) const {
+  if (a.size() <= kHeadFeatures) {
+    return head_factor(squared_distance(a, b));
+  }
+  return head_factor(squared_distance(a.first(kHeadFeatures),
+                                      b.first(kHeadFeatures))) *
+         tail_factor(squared_distance(a.subspan(kHeadFeatures),
+                                      b.subspan(kHeadFeatures)));
+}
+
 GpRegressor::KernelColumns GpRegressor::kernel_columns(
-    std::size_t m, const DistanceFill& fill) const {
+    std::vector<double> kernel) const {
   ACSEL_CHECK_MSG(!y_.empty(), "GpRegressor::predict before fit/parse");
   const std::size_t n = y_.size();
-  const double inv_2l2 = 1.0 / (2.0 * length_scale_ * length_scale_);
-  // Each column receives its squared distances and turns them into
-  // kernel values in place. Every mean is summed in i order from 0.0, as
-  // linalg::dot sums, so it is bitwise the single-point result.
-  KernelColumns out{std::vector<double>(n * m), std::vector<double>(m)};
+  ACSEL_CHECK_MSG(kernel.size() % n == 0,
+                  "GpRegressor::kernel_columns: partial kernel column");
+  const std::size_t m = kernel.size() / n;
+  // Every mean is summed in i order from 0.0, as linalg::dot sums, so it
+  // is bitwise the single-point result.
+  KernelColumns out{std::move(kernel), std::vector<double>(m)};
   for (std::size_t c = 0; c < m; ++c) {
-    const std::span<double> column{out.kernel.data() + c * n, n};
-    fill(c, column);
+    const double* const column = out.kernel.data() + c * n;
     double mean = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      const double k = signal_variance_ * std::exp(-column[i] * inv_2l2);
-      column[i] = k;
-      mean += k * alpha_[i];
+      mean += column[i] * alpha_[i];
     }
     out.means[c] = y_mean_ + mean;
   }
@@ -294,22 +300,24 @@ GpPredictor::GpPredictor(std::vector<Trio> clusters, stats::Cart tree)
   }
 
   // Terms 0-7 of power_features do not read the samples, so any sample
-  // pair yields them.
+  // pair yields the head factors.
   const std::size_t n = space_.size();
   const SamplePair no_samples{};
-  power_prefix_.reserve(clusters_.size());
+  power_heads_.reserve(clusters_.size());
   for (const Trio& surrogate : clusters_) {
-    const linalg::Matrix& x = surrogate.power.inputs();
-    std::vector<double> prefix(n * x.rows());
+    const GpRegressor& gp = surrogate.power;
+    const linalg::Matrix& x = gp.inputs();
+    std::vector<double> heads(n * x.rows());
     for (std::size_t i = 0; i < n; ++i) {
       const std::vector<double> pf = power_features(space_.at(i), no_samples);
-      const std::span<const double> terms{pf.data(), kConfigTerms};
+      const std::span<const double> terms{pf.data(),
+                                          GpRegressor::kHeadFeatures};
       for (std::size_t t = 0; t < x.rows(); ++t) {
-        prefix[i * x.rows() + t] =
-            squared_distance(x.row(t).first(kConfigTerms), terms);
+        heads[i * x.rows() + t] = gp.head_factor(squared_distance(
+            x.row(t).first(GpRegressor::kHeadFeatures), terms));
       }
     }
-    power_prefix_.push_back(std::move(prefix));
+    power_heads_.push_back(std::move(heads));
   }
 
   // One batched pass per (cluster, device) over that device's
@@ -351,46 +359,37 @@ Prediction GpPredictor::predict(const SamplePair& samples) const {
   const GpRegressor& power_gp = clusters_[prediction.cluster].power;
   const linalg::Matrix& x = power_gp.inputs();
   const std::size_t rows = x.rows();
-  // Terms 8 and 9 are the scaled sample powers, the same at every
-  // configuration; 10 and 11 are their device-gated copies, formed as
-  // power_features forms them. So each device has one tail, and its
-  // squared differences to each training row are computed once here:
-  // tails[(g * kSampleTerms + k) * rows + t] for device g (1 = GPU).
-  const std::vector<double> pf = power_features(space_.at(0), samples);
-  const double s_cpu = pf[8];
-  const double s_gpu = pf[9];
-  const double* const xd = x.data().data();
-  std::vector<double> tails(2 * kSampleTerms * rows);
+  // Terms 8-11 of power_features read only the samples and the device,
+  // so each device has one row of tail factors, formed at any of its
+  // configurations: tails[g * rows + t] for device g (1 = GPU) and
+  // training row t.
+  std::vector<double> tails(2 * rows);
+  const hw::Configuration on_device[2] = {space_.cpu_sample(),
+                                          space_.gpu_sample()};
   for (std::size_t g = 0; g < 2; ++g) {
-    const double dev = g == 1 ? 1.0 : 0.0;
-    const double tail[kSampleTerms] = {s_cpu, s_gpu, dev * s_gpu,
-                                       (1.0 - dev) * s_cpu};
-    for (std::size_t k = 0; k < kSampleTerms; ++k) {
-      double* const out = tails.data() + (g * kSampleTerms + k) * rows;
-      for (std::size_t t = 0; t < rows; ++t) {
-        const double d = xd[t * x.cols() + kConfigTerms + k] - tail[k];
-        out[t] = d * d;
-      }
+    const std::vector<double> pf = power_features(on_device[g], samples);
+    const std::span<const double> terms =
+        std::span<const double>{pf}.subspan(GpRegressor::kHeadFeatures);
+    for (std::size_t t = 0; t < rows; ++t) {
+      tails[g * rows + t] = power_gp.tail_factor(squared_distance(
+          x.row(t).subspan(GpRegressor::kHeadFeatures), terms));
     }
   }
-  // Each distance continues its tabulated terms 0-7 with terms 8-11 in
-  // feature order: bitwise the sum squared_distance forms.
-  const double* const prefix = power_prefix_[prediction.cluster].data();
-  const GpRegressor::KernelColumns power_k = power_gp.kernel_columns(
-      n, [&](std::size_t c, std::span<double> squared) {
-        const double* const p = prefix + c * rows;
-        const double* const q =
-            tails.data() +
-            (space_.at(c).device == hw::Device::Gpu ? kSampleTerms * rows : 0);
-        for (std::size_t t = 0; t < rows; ++t) {
-          double sum = p[t];
-          sum += q[t];
-          sum += q[rows + t];
-          sum += q[2 * rows + t];
-          sum += q[3 * rows + t];
-          squared[t] = sum;
-        }
-      });
+  // Each kernel value is its tabulated head times its device's tail, as
+  // GpRegressor::kernel multiplies them.
+  const double* const heads = power_heads_[prediction.cluster].data();
+  std::vector<double> block(n * rows);
+  for (std::size_t c = 0; c < n; ++c) {
+    const double* const head = heads + c * rows;
+    const double* const tail =
+        tails.data() + (space_.at(c).device == hw::Device::Gpu ? rows : 0);
+    double* const column = block.data() + c * rows;
+    for (std::size_t t = 0; t < rows; ++t) {
+      column[t] = head[t] * tail[t];
+    }
+  }
+  const GpRegressor::KernelColumns power_k =
+      power_gp.kernel_columns(std::move(block));
   const PerfRow* const perf_rows = perf_table_.data() + prediction.cluster * n;
   const double s_perf_cpu = samples.cpu.performance();
   const double s_perf_gpu = samples.gpu.performance();

@@ -10,8 +10,8 @@
 // promoted) more cautiously.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -38,12 +38,22 @@ struct GpHyperparams {
 };
 
 /// One scalar GP regression: constant-mean prior (the training-target
-/// mean), k(a,b) = s² exp(-|a-b|² / 2ℓ²), exact posterior via Cholesky.
-/// Posteriors are evaluated in two steps over a block of query points:
-/// kernel_columns() forms every point's kernel column and posterior mean
-/// from its squared distances to the training rows, and variances() runs
-/// the forward solve for only the points a caller lists. predict_rows()
-/// is both steps over every point, and predict() is its one-row case.
+/// mean) and exact posterior via Cholesky, under a squared-exponential
+/// kernel written as a product of two factors. With c = 1/2ℓ², h the
+/// squared distance over features [0, kHeadFeatures) and t the squared
+/// distance over the rest:
+///
+///   k(a,b) = head_factor(h) · tail_factor(t) = (s² exp(-h·c)) · exp(-t·c).
+///
+/// A GP of at most kHeadFeatures features has no tail, and k is the head
+/// factor alone: s² exp(-|a-b|²·c). kernel() is the one definition; the
+/// kernel matrix, every pointwise posterior and GpPredictor's tabulated
+/// heads all go through it or its two factors. Posteriors are evaluated
+/// in two steps over a block of query points: kernel_columns() takes every
+/// point's kernel column and forms its posterior mean, and variances()
+/// runs the forward solve for only the points a caller lists.
+/// predict_rows() is both steps over every point, and predict() is its
+/// one-row case.
 class GpRegressor {
  public:
   GpRegressor() = default;
@@ -72,15 +82,28 @@ class GpRegressor {
   MeanVariance predict(std::span<const double> features) const;
 
   /// Posteriors at every row of `points` (cols == feature_count()), in
-  /// row order: kernel_columns() over the points' squared distances to
-  /// the training rows, then variances() of every point. Row r is bitwise
-  /// equal to predict(row r).
+  /// row order: kernel_columns() of the points' kernel() columns, then
+  /// variances() of every point. Row r is bitwise equal to predict(row r).
   std::vector<MeanVariance> predict_rows(const linalg::Matrix& points) const;
 
-  /// Writes |x_i - point c|² to squared[i] for every training row i,
-  /// summed from 0.0 in feature order (squared.size() == training_rows()).
-  using DistanceFill =
-      std::function<void(std::size_t c, std::span<double> squared)>;
+  /// Features [0, kHeadFeatures) feed the head factor and the rest the
+  /// tail factor: for the power GP, the configuration-only terms of
+  /// power_features and the sample terms.
+  static constexpr std::size_t kHeadFeatures = 8;
+
+  /// s² exp(-h·c) of a squared head distance h.
+  double head_factor(double squared) const {
+    return signal_variance_ * std::exp(-squared * inv_2l2_);
+  }
+  /// exp(-t·c) of a squared tail distance t.
+  double tail_factor(double squared) const {
+    return std::exp(-squared * inv_2l2_);
+  }
+  /// k(a,b): head_factor of the squared distance over the first
+  /// kHeadFeatures features, times tail_factor of the squared distance
+  /// over the rest when there are more. Each squared distance is summed
+  /// from 0.0 in feature order.
+  double kernel(std::span<const double> a, std::span<const double> b) const;
 
   /// Kernel columns and posterior means of m query points.
   struct KernelColumns {
@@ -91,10 +114,11 @@ class GpRegressor {
     std::vector<double> means;
   };
 
-  /// Forms the kernel column and posterior mean of m points given by
-  /// their squared distances to the training rows. Each mean is summed in
-  /// training-row order from 0.0, as a single-point posterior sums it.
-  KernelColumns kernel_columns(std::size_t m, const DistanceFill& fill) const;
+  /// Takes m kernel columns (kernel.size() == m * training_rows()) and
+  /// forms their posterior means: the m × n block times the dual weights.
+  /// Each mean is summed in training-row order from 0.0, as a
+  /// single-point posterior sums it.
+  KernelColumns kernel_columns(std::vector<double> kernel) const;
 
   /// Predictive variances of the listed points of `columns`, in list
   /// order. The listed columns are gathered, tile_columns at a time, into
@@ -131,6 +155,7 @@ class GpRegressor {
   double signal_variance_ = 1.0;
   double noise_variance_ = 1e-2;
   // Derived state (never serialized):
+  double inv_2l2_ = 0.5;       ///< 1/2ℓ²
   double y_mean_ = 0.0;
   std::vector<double> alpha_;  ///< K⁻¹ (y - mean)
   linalg::Matrix l_;           ///< Cholesky factor of K
@@ -148,21 +173,22 @@ extern template class ClusterPredictor<GpRegressor>;
 /// through) tabulates what depends on the configuration only:
 ///  * the performance posteriors, per (cluster, configuration), one
 ///    predict_rows() call per (cluster, device);
-///  * per cluster, the first 8 terms of every squared distance between a
-///    configuration's power features and a power-GP training row
-///    (power_features terms 0-7 do not read the samples), summed from 0.0
-///    in feature order as the distance itself is.
-/// predict() then adds only terms 8-11, formed from the samples, to each
-/// tabulated prefix, forms all 54 power means in one kernel_columns()
-/// call, scales the performance rows by the sample performance, and
-/// builds the frontier. Only then does it solve power variances, and
-/// only at the frontier's configurations: the scheduler and the canary
-/// read power_sigma nowhere else. So power_sigma is the posterior sd at
-/// every frontier configuration and the prior sd,
-/// sqrt(signal_variance + noise_variance), elsewhere; the posterior
-/// variance is the prior minus a squared norm, so the prior sd bounds
-/// it from above. Every other answer, and every frontier sigma, is
-/// bitwise that of a per-point posterior.
+///  * per cluster, the power GP's head factor between every
+///    configuration and every training row: power_features terms 0-7 do
+///    not read the samples, so neither does the head.
+/// The tail, over terms 8-11, depends on the samples and the device only.
+/// So predict() forms one tail factor per (device, training row), 2n
+/// exp calls, takes each configuration's kernel column as its head row
+/// times its device's tails, and forms all 54 power means as that 54 × n
+/// block times the dual weights (kernel_columns()). It then scales the
+/// performance rows by the sample performance and builds the frontier.
+/// Only then does it solve power variances, and only at the frontier's
+/// configurations: the scheduler and the canary read power_sigma nowhere
+/// else. So power_sigma is the posterior sd at every frontier
+/// configuration and the prior sd, sqrt(signal_variance + noise_variance),
+/// elsewhere; the posterior variance is the prior minus a squared norm,
+/// so the prior sd bounds it from above. Every other answer, and every
+/// frontier sigma, is bitwise that of a per-point posterior.
 class GpPredictor final : public ClusterPredictor<GpRegressor> {
  public:
   /// Envelope tag of this family.
@@ -185,10 +211,10 @@ class GpPredictor final : public ClusterPredictor<GpRegressor> {
 
   /// cluster-major: row (c, i) at c * space_.size() + i.
   std::vector<PerfRow> perf_table_;
-  /// Per cluster, configuration-major: the squared distance's terms 0-7
-  /// between configuration i and power-GP training row t at
-  /// i * n + t, n that GP's training_rows().
-  std::vector<std::vector<double>> power_prefix_;
+  /// Per cluster, configuration-major: the power GP's head_factor
+  /// between configuration i and training row t at i * n + t, n that
+  /// GP's training_rows().
+  std::vector<std::vector<double>> power_heads_;
 };
 
 }  // namespace acsel::core

@@ -443,15 +443,29 @@ std::vector<double> reference_forward_solve(const linalg::Matrix& l,
   return v;
 }
 
+// How a reference GP evaluates its kernel. Separable is the production
+// definition: s² exp(-h/2ℓ²) over the first 8 features, times
+// exp(-t/2ℓ²) over the rest when there are more. WholeDistance is the
+// kernel before it was split, s² exp(-|a-b|²/2ℓ²): the same function in
+// exact arithmetic, and the same bits for GPs of at most 8 features.
+enum class KernelForm { Separable, WholeDistance };
+
+// Features the separable kernel's head factor reads: the configuration-only
+// terms of power_features.
+constexpr std::size_t kHeadTerms = 8;
+static_assert(kHeadTerms == GpRegressor::kHeadFeatures);
+
 // One GP's posterior as a single-point scalar solve computes it, rebuilt
 // from the GP's serialized line: kernel matrix, Cholesky factor and dual
 // weights as fitting derives them, then one forward solve per point.
 // GpRegressor::predict shares predict_rows' solve, so this is the
 // reference that a change in the solve's operation order cannot move
-// along with it.
+// along with it. K and every k* are built with the same kernel form.
 class ReferenceGp {
  public:
-  explicit ReferenceGp(const GpRegressor& gp) {
+  explicit ReferenceGp(const GpRegressor& gp,
+                       KernelForm form = KernelForm::Separable)
+      : form_(form) {
     const std::vector<std::string> fields = split(gp.serialize(), ' ');
     const std::size_t n = parse_size(fields[0]);
     const std::size_t d = parse_size(fields[1]);
@@ -506,9 +520,20 @@ class ReferenceGp {
  private:
   double kernel(std::span<const double> a, std::span<const double> b) const {
     const double inv_2l2 = 1.0 / (2.0 * length_scale_ * length_scale_);
-    return signal_variance_ * std::exp(-squared_distance(a, b) * inv_2l2);
+    if (form_ == KernelForm::WholeDistance || a.size() <= kHeadTerms) {
+      return signal_variance_ * std::exp(-squared_distance(a, b) * inv_2l2);
+    }
+    const double head =
+        signal_variance_ *
+        std::exp(-squared_distance(a.first(kHeadTerms), b.first(kHeadTerms)) *
+                 inv_2l2);
+    const double tail = std::exp(
+        -squared_distance(a.subspan(kHeadTerms), b.subspan(kHeadTerms)) *
+        inv_2l2);
+    return head * tail;
   }
 
+  KernelForm form_;
   double length_scale_ = 0.0;
   double signal_variance_ = 0.0;
   double noise_variance_ = 0.0;
@@ -550,13 +575,14 @@ ReferencePrediction reference_gp_predict(const GpPredictor& model,
   return out;
 }
 
-std::vector<ReferenceGp> reference_gps(const GpPredictor& model) {
+std::vector<ReferenceGp> reference_gps(
+    const GpPredictor& model, KernelForm form = KernelForm::Separable) {
   std::vector<ReferenceGp> gps;
   for (std::size_t c = 0; c < model.cluster_count(); ++c) {
     const GpPredictor::Trio& surrogate = model.cluster(c);
-    gps.emplace_back(surrogate.power);
-    gps.emplace_back(surrogate.perf_cpu);
-    gps.emplace_back(surrogate.perf_gpu);
+    gps.emplace_back(surrogate.power, form);
+    gps.emplace_back(surrogate.perf_cpu, form);
+    gps.emplace_back(surrogate.perf_gpu, form);
   }
   return gps;
 }
@@ -690,15 +716,19 @@ class FixedPredictor final : public Predictor {
   Prediction prediction_;
 };
 
-TEST_F(GpPredictorTest, FrontierOnlySigmasLeaveEveryDecisionUnchanged) {
-  // Off the frontier predict() reports the prior sd instead of the
-  // posterior sd. The scheduler reads power_sigma only at frontier points
-  // and the canary only at the chosen one, so under point and
-  // upper-confidence policies, every goal and caps across each kernel's
-  // power range, every choice and every selected sigma must be what full
-  // posteriors give.
-  ASSERT_NE(gp_, nullptr);
-  const std::vector<ReferenceGp> gps = reference_gps(*gp_);
+// Sweeps every suite kernel under point and upper-confidence policies,
+// every goal, and no cap plus 49 caps from below the lowest predicted
+// power to past the highest plus any upper-confidence margin. At each
+// step it hands `compare` the model's Scheduler::Choice and the one a
+// full-posterior prediction from `gps` gives, and at every 8th cap (the
+// canary re-predicts per call) hands `compare_canary` both canary
+// scores. Stops at the first fatal failure. Returns how many of the
+// model's choices were predicted feasible and infeasible.
+template <typename Compare, typename CompareCanary>
+std::pair<std::size_t, std::size_t> sweep_decisions(
+    const GpPredictor& model, const std::vector<ReferenceGp>& gps,
+    const std::vector<KernelCharacterization>& characterizations,
+    Compare compare, CompareCanary compare_canary) {
   const SelectionPolicy policies[] = {SelectionPolicy::point_estimate(),
                                       SelectionPolicy::upper_confidence(0.5),
                                       SelectionPolicy::upper_confidence(2.0)};
@@ -706,15 +736,14 @@ TEST_F(GpPredictorTest, FrontierOnlySigmasLeaveEveryDecisionUnchanged) {
                                   SchedulingGoal::MinEnergy,
                                   SchedulingGoal::MinEnergyDelay};
   constexpr int kCapSteps = 48;
-  // The canary re-predicts per call, so it is scored at every 8th cap.
   constexpr int kCanaryEvery = 8;
   std::size_t feasible = 0;
   std::size_t infeasible = 0;
-  for (const auto& c : *characterizations_) {
-    const Prediction got = gp_->predict(c.samples);
+  for (const auto& c : characterizations) {
+    const Prediction got = model.predict(c.samples);
     const FixedPredictor reference{
-        *gp_, full_posterior_prediction(
-                  reference_gp_predict(*gp_, gps, c.samples))};
+        model, full_posterior_prediction(
+                   reference_gp_predict(model, gps, c.samples))};
     const Prediction want = reference.predict(c.samples);
     double lo = got.per_config.front().power_w;
     double hi = lo;
@@ -722,8 +751,6 @@ TEST_F(GpPredictorTest, FrontierOnlySigmasLeaveEveryDecisionUnchanged) {
       lo = std::min(lo, estimate.power_w);
       hi = std::max(hi, estimate.power_w);
     }
-    // From below the lowest predicted power to past the highest plus any
-    // upper-confidence margin.
     std::vector<std::optional<double>> caps{std::nullopt};
     for (int step = 0; step <= kCapSteps; ++step) {
       caps.emplace_back(0.8 * lo + (1.3 * hi - 0.8 * lo) * step / kCapSteps);
@@ -740,30 +767,133 @@ TEST_F(GpPredictorTest, FrontierOnlySigmasLeaveEveryDecisionUnchanged) {
                        << ' ' << to_string(goal) << " cap "
                        << caps[k].value_or(0.0));
           const Scheduler::Choice x = a.select_goal(goal, caps[k]);
-          const Scheduler::Choice y = b.select_goal(goal, caps[k]);
-          ASSERT_EQ(x.config_index, y.config_index);
-          ASSERT_EQ(x.predicted_power_w, y.predicted_power_w);
-          ASSERT_EQ(x.predicted_performance, y.predicted_performance);
-          ASSERT_EQ(x.predicted_feasible, y.predicted_feasible);
+          compare(x, b.select_goal(goal, caps[k]));
+          if (testing::Test::HasFatalFailure()) {
+            return {feasible, infeasible};
+          }
           ++(x.predicted_feasible ? feasible : infeasible);
           if (k % kCanaryEvery == 0) {
-            const adapt::SelectionQuality p = adapt::selection_quality(
-                *gp_, c, caps[k], goal, options);
-            const adapt::SelectionQuality q = adapt::selection_quality(
-                reference, c, caps[k], goal, options);
-            ASSERT_EQ(std::memcmp(&p.selected_power_sigma,
-                                  &q.selected_power_sigma, sizeof(double)),
-                      0);
-            ASSERT_EQ(p.error, q.error);
-            ASSERT_EQ(p.violation, q.violation);
+            compare_canary(
+                adapt::selection_quality(model, c, caps[k], goal, options),
+                adapt::selection_quality(reference, c, caps[k], goal,
+                                         options));
+            if (testing::Test::HasFatalFailure()) {
+              return {feasible, infeasible};
+            }
           }
         }
       }
     }
   }
+  return {feasible, infeasible};
+}
+
+TEST_F(GpPredictorTest, FrontierOnlySigmasLeaveEveryDecisionUnchanged) {
+  // Off the frontier predict() reports the prior sd instead of the
+  // posterior sd. The scheduler reads power_sigma only at frontier points
+  // and the canary only at the chosen one, so under point and
+  // upper-confidence policies, every goal and caps across each kernel's
+  // power range, every choice and every selected sigma must be what full
+  // posteriors give.
+  ASSERT_NE(gp_, nullptr);
+  const auto [feasible, infeasible] = sweep_decisions(
+      *gp_, reference_gps(*gp_), *characterizations_,
+      [](const Scheduler::Choice& x, const Scheduler::Choice& y) {
+        ASSERT_EQ(x.config_index, y.config_index);
+        ASSERT_EQ(x.predicted_power_w, y.predicted_power_w);
+        ASSERT_EQ(x.predicted_performance, y.predicted_performance);
+        ASSERT_EQ(x.predicted_feasible, y.predicted_feasible);
+      },
+      [](const adapt::SelectionQuality& p, const adapt::SelectionQuality& q) {
+        ASSERT_EQ(std::memcmp(&p.selected_power_sigma,
+                              &q.selected_power_sigma, sizeof(double)),
+                  0);
+        ASSERT_EQ(p.error, q.error);
+        ASSERT_EQ(p.violation, q.violation);
+      });
+  ASSERT_FALSE(HasFatalFailure());
   // The sweep reaches both sides of every kernel's frontier.
   EXPECT_GT(feasible, 0u);
   EXPECT_GT(infeasible, 0u);
+}
+
+TEST_F(GpPredictorTest, DecisionsMatchTheWholeDistanceKernel) {
+  // The separable kernel equals s² exp(-|a-b|²/2ℓ²) in exact arithmetic;
+  // in doubles the 12-feature power GPs differ in the last bits. Over the
+  // whole decision sweep, a model that took exp of the whole distance
+  // (full posteriors, as the frontier-only test shows is equivalent)
+  // chooses the same configurations with the same feasibility and canary
+  // verdicts, and predicts powers within 1e-9 relative. The performance
+  // GPs have 7 features, so their answers are bitwise.
+  ASSERT_NE(gp_, nullptr);
+  constexpr double kRelative = 1e-9;
+  const auto [feasible, infeasible] = sweep_decisions(
+      *gp_, reference_gps(*gp_, KernelForm::WholeDistance),
+      *characterizations_,
+      [](const Scheduler::Choice& x, const Scheduler::Choice& y) {
+        ASSERT_EQ(x.config_index, y.config_index);
+        ASSERT_NEAR(x.predicted_power_w, y.predicted_power_w,
+                    kRelative * std::abs(y.predicted_power_w));
+        ASSERT_EQ(x.predicted_performance, y.predicted_performance);
+        ASSERT_EQ(x.predicted_feasible, y.predicted_feasible);
+      },
+      [](const adapt::SelectionQuality& p, const adapt::SelectionQuality& q) {
+        ASSERT_NEAR(p.selected_power_sigma, q.selected_power_sigma,
+                    kRelative * q.selected_power_sigma);
+        ASSERT_EQ(p.error, q.error);
+        ASSERT_EQ(p.violation, q.violation);
+      });
+  ASSERT_FALSE(HasFatalFailure());
+  EXPECT_GT(feasible, 0u);
+  EXPECT_GT(infeasible, 0u);
+}
+
+TEST_F(GpPredictorTest, HeadOnlyKernelIsTheWholeDistanceKernelBitwise) {
+  // A GP of at most 8 features has no tail factor, so its kernel is
+  // exactly s² exp(-|a-b|²/2ℓ²), and so is every posterior built on it:
+  // the performance GPs' table cannot drift with the split.
+  ASSERT_NE(gp_, nullptr);
+  std::vector<GpRegressor> gps;
+  for (std::size_t c = 0; c < gp_->cluster_count(); ++c) {
+    gps.push_back(gp_->cluster(c).perf_cpu);
+    gps.push_back(gp_->cluster(c).perf_gpu);
+  }
+  Rng rng{8};
+  for (const std::size_t d : {1u, 3u, 8u}) {
+    linalg::Matrix x{40, d};
+    std::vector<double> y(40);
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+      for (std::size_t f = 0; f < d; ++f) {
+        x(r, f) = rng.uniform(-1.0, 1.0);
+      }
+      y[r] = rng.uniform(0.0, 5.0);
+    }
+    gps.push_back(GpRegressor::fit(x, y));
+  }
+  for (const GpRegressor& gp : gps) {
+    const std::size_t d = gp.feature_count();
+    ASSERT_LE(d, kHeadTerms);
+    SCOPED_TRACE(testing::Message() << "features " << d);
+    const ReferenceGp whole{gp, KernelForm::WholeDistance};
+    const double inv_2l2 = 1.0 / (2.0 * gp.length_scale() * gp.length_scale());
+    for (int k = 0; k < 20; ++k) {
+      std::vector<double> a(d);
+      std::vector<double> b(d);
+      for (std::size_t f = 0; f < d; ++f) {
+        a[f] = rng.uniform(-1.0, 1.0);
+        b[f] = rng.uniform(-1.0, 1.0);
+      }
+      const double want =
+          gp.signal_variance() * std::exp(-squared_distance(a, b) * inv_2l2);
+      const double got = gp.kernel(a, b);
+      ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0);
+
+      const GpRegressor::MeanVariance p = gp.predict(a);
+      const GpRegressor::MeanVariance q = whole.posterior(a);
+      ASSERT_EQ(std::memcmp(&p.mean, &q.mean, sizeof p.mean), 0);
+      ASSERT_EQ(std::memcmp(&p.variance, &q.variance, sizeof p.variance), 0);
+    }
+  }
 }
 
 // ------------------------------------------------------ tiled GP solve --
